@@ -1,25 +1,29 @@
 //! Async message-passing lookup engine: in-flight lookups through simnet.
 //!
-//! The sync walk ([`find_successor_with_policy`]) resolves a lookup in
-//! one call; this engine decomposes the *same* protocol into serialized
-//! [`Message`]s driven through a [`simnet::EventQueue`], so delay-based
-//! faults become expressible: per-hop [`simnet::LatencyModel`] delays stretch
-//! into simulated wall-clock, a [`SlowOverlay`] can make a ring sector
-//! slow-but-alive, per-attempt deadlines feed the existing
+//! A lookup's protocol — routed attempts, retry with backoff, then the
+//! successor-walk and verified-quorum tiers — is one per-request state
+//! machine, `Lookup` (in `lookup.rs`), with two drivers. The sync walk
+//! ([`find_successor_with_policy`]) takes every step inline at zero
+//! latency; this engine turns the same steps into messages
+//! (`FindSuccessor`, `NextHop`, `Notify`, `Timeout`) driven through a
+//! [`simnet::EventQueue`], so delay-based faults become
+//! expressible: per-hop [`simnet::LatencyModel`] delays stretch into
+//! simulated wall-clock, a [`SlowOverlay`] can make a ring sector
+//! slow-but-alive, per-attempt deadlines fail attempts into the
 //! [`RetryPolicy`](crate::RetryPolicy) tiers, and thousands of requests
 //! multiplex over one deterministic event loop.
 //!
-//! Equivalence is the design invariant, pinned by
-//! `tests/engine_equivalence.rs`: every routing decision and every
-//! recorder side effect goes through the exact code the sync walk uses
-//! ([`hop_step`] per delivered `FindSuccessor`, [`fallback_resolve`] when
-//! attempts are exhausted), so a sequentially-driven engine with
-//! deadlines disarmed is **bit-identical** to the sync walk — same
-//! owners, same hops, same costs, same ordinals, same trace digest.
-//! Concurrency then changes *interleaving* only: requests draw latency
-//! from per-request RNG streams and routing consumes randomness nowhere
-//! else, which is what makes 10k interleaved lookups replay
-//! byte-identically and submission order not matter.
+//! The engine keeps only what is asynchronous: attempt generations,
+//! deadlines, the answer's trip back to the origin, the backlog and the
+//! slow overlay. Every routing decision and recorder side effect is a
+//! machine transition, so a sequentially-driven engine with deadlines
+//! disarmed is **bit-identical** to the sync walk — same owners, same
+//! hops, same costs, same ordinals, same trace digest (pinned by
+//! `tests/engine_equivalence.rs`). Concurrency then changes
+//! *interleaving* only: requests draw latency from per-request RNG
+//! streams and routing consumes randomness nowhere else, which is what
+//! makes 10k interleaved lookups replay byte-identically and submission
+//! order not matter.
 //!
 //! One modeling artifact is deliberate: a request's lifecycle is
 //! attributed to its *origin*. `NextHop`/`Notify` answers return to the
@@ -27,22 +31,39 @@
 //! iterative Chord, like the sync walk, not recursive routing.
 //!
 //! [`find_successor_with_policy`]: ChordNetwork::find_successor_with_policy
-//! [`hop_step`]: ChordNetwork
-//! [`fallback_resolve`]: ChordNetwork
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use keyspace::Point;
-use peer_sampling::Cost;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simnet::{EventQueue, SimDuration, SimTime};
-use telemetry::TraceOutcome;
 
-use crate::lookup::{HopOutcome, TraceBuilder};
-use crate::msg::{Message, NO_NEXT};
+use crate::lookup::{Lookup, Step};
 use crate::network::{ChordNetwork, NodeId};
 use crate::{LookupError, LookupResult};
+
+/// Sentinel node index in [`Message::NextHop`]: the hop could not route
+/// (its candidate set was exhausted, or it died before answering) — the
+/// origin fails the attempt with `SuccessorsAllDead`.
+const NO_NEXT: u32 = u32::MAX;
+
+/// One protocol message of the engine. `req` is the request tag; `gen`
+/// the attempt it was sent under — a delivery whose attempt was since
+/// retried or completed is stale and dropped, which is what makes
+/// completion exactly-once under timeout races.
+enum Message {
+    /// Origin → hop: route one step of the walk at node `at` (arena
+    /// index).
+    FindSuccessor { req: u64, gen: u8, at: u32 },
+    /// Hop → origin: forward the walk to `next` (arena index), or
+    /// [`NO_NEXT`] when the hop made no progress.
+    NextHop { req: u64, gen: u8, next: u32 },
+    /// Hop → origin: the walk resolved; the answer waits in the request.
+    Notify { req: u64, gen: u8 },
+    /// Self-addressed wakeup: the attempt's deadline expired.
+    Timeout { req: u64, gen: u8 },
+}
 
 /// Knobs of one [`LookupEngine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,39 +131,29 @@ pub struct Completion {
     pub result: Result<LookupResult, LookupError>,
 }
 
-/// Per-request in-flight state (the request table).
+/// Per-request in-flight state (the request table): the protocol
+/// machine plus what only the async driver needs.
 struct Pending {
-    from: NodeId,
-    target: Point,
+    lookup: Lookup,
     /// Private latency stream — `derive_seed(engine seed, tag)` — so a
     /// request's draws are independent of interleaving.
     rng: StdRng,
-    /// 1-based attempt counter.
-    attempt: u8,
-    /// Attempt generation: bumped on every retry, which strands every
-    /// message (and deadline) the preempted attempt still has in flight.
-    generation: u32,
-    /// The walk resolved; the final `Notify` is in flight. Deadlines no
-    /// longer preempt (the answer is already on the wire), making
-    /// completion exactly-once.
-    resolved: bool,
-    /// Cost folded in from failed/preempted attempts plus backoff.
-    spent: Cost,
-    /// Running cost of the current attempt.
-    cost: Cost,
-    /// Demoted-probe latency of the current attempt (span attribution).
-    skip: u64,
-    /// Hops taken by the current attempt.
-    hops: u32,
-    /// Op ordinal of the current attempt (exemplar / trace id).
-    ordinal: u64,
-    trace: Option<TraceBuilder>,
+    /// The walk resolved and this answer is on its way home. Deadlines
+    /// no longer preempt, making completion exactly-once.
+    answer: Option<LookupResult>,
     submitted_at: SimTime,
     started_at: SimTime,
     /// Node whose answer the origin is currently waiting on — the peer a
     /// firing deadline penalizes in the score table.
     current: NodeId,
     timeouts: u32,
+}
+
+impl Pending {
+    /// Whether a delivery sent under attempt `gen` still applies.
+    fn live(&self, gen: u8) -> bool {
+        self.lookup.attempt() == gen && self.answer.is_none()
+    }
 }
 
 /// The deterministic async lookup event loop. See the module docs.
@@ -163,7 +174,6 @@ pub struct LookupEngine {
     slow: Option<SlowOverlay>,
     next_tag: u64,
 }
-
 impl LookupEngine {
     /// Creates an idle engine at tick 0.
     pub fn new(config: EngineConfig) -> LookupEngine {
@@ -319,318 +329,137 @@ impl LookupEngine {
     }
 
     fn start_request(&mut self, net: &ChordNetwork, tag: u64, from: NodeId, target: Point) {
-        let rng = StdRng::seed_from_u64(simnet::rng::derive_seed(self.config.seed, tag));
+        let mut lookup = Lookup::new(from, target);
+        let step = lookup.begin(net, net.retry_policy());
         let p = Pending {
-            from,
-            target,
-            rng,
-            attempt: 1,
-            generation: 0,
-            resolved: false,
-            spent: Cost::FREE,
-            cost: Cost::FREE,
-            skip: 0,
-            hops: 0,
-            ordinal: 0,
-            trace: None,
+            lookup,
+            rng: StdRng::seed_from_u64(simnet::rng::derive_seed(self.config.seed, tag)),
+            answer: None,
             submitted_at: self.now,
             started_at: self.now,
             current: from,
             timeouts: 0,
         };
         self.pending.insert(tag, p);
-        self.start_attempt(net, tag);
+        self.follow(net, tag, step, SimDuration::ZERO);
     }
 
-    /// Begins the current attempt of `tag`: the sync walk's per-attempt
-    /// preamble (backoff charge on retries, then the `route_attempt`
-    /// entry sequence — liveness check, ordinal draw, trace allocation)
-    /// in the same recorder order, then the first `FindSuccessor` and the
-    /// attempt's deadline go on the queue.
-    fn start_attempt(&mut self, net: &ChordNetwork, tag: u64) {
-        let counters = net.counters();
-        let recorder = net.metrics().recorder();
-        let p = self
-            .pending
-            .get_mut(&tag)
-            .expect("attempt for live request");
-        let mut start_delay = SimDuration::ZERO;
-        if p.attempt > 1 {
-            let policy = net.retry_policy().expect("retries imply a policy");
-            // Backoff is pure waiting: latency (and wall-clock), no
-            // messages — identical accounting to the sync retry loop.
-            let backoff = policy.backoff_ticks(p.attempt - 1);
-            p.spent.latency += backoff;
-            recorder.incr(counters.lookup_retries);
-            recorder
-                .profiler()
-                .add(counters.span_retry_backoff, backoff);
-            start_delay = SimDuration::from_ticks(backoff);
-        }
-        if !net.node(p.from).is_alive() {
-            // Mirrors `route_attempt`'s dead-origin exit, including the
-            // sync wrapper's (empty) finger-walk span close.
-            recorder.profiler().add(counters.span_finger_walk, 0);
-            let at = self.now.saturating_add(start_delay);
-            self.complete(net, tag, Err(LookupError::StartDead), at);
-            return;
-        }
-        // Drawn whether or not tracing is on, so exemplar ids agree
-        // between traced and untraced replays of the same seed.
-        p.ordinal = recorder.next_op_ordinal();
-        p.cost = Cost::FREE;
-        p.skip = 0;
-        p.hops = 0;
-        p.current = p.from;
-        p.trace = recorder.tracing_enabled().then(|| TraceBuilder {
-            from: net.node(p.from).point(),
-            target: p.target,
-            hops: Vec::new(),
-            seen_latency: 0,
-            attempt: p.attempt - 1,
-            ordinal: p.ordinal,
-        });
-        let gen = p.generation;
-        let at = u32::try_from(p.from.index()).expect("arena indexes fit u32");
-        self.schedule_in(
-            start_delay,
-            Message::FindSuccessor {
-                req: tag,
-                gen,
-                at,
-                hops: 0,
-            },
-        );
-        if let Some(ticks) = self.config.timeout_ticks {
-            let deadline = SimDuration::from_ticks(start_delay.ticks().saturating_add(ticks));
-            self.schedule_in(deadline, Message::Timeout { req: tag, gen });
+    /// Carries out a machine [`Step`] for request `req` as messages.
+    /// `hop_delay` is the wall-clock the hop just processed took; it
+    /// delays the hop's answer to the origin.
+    fn follow(&mut self, net: &ChordNetwork, req: u64, step: Step, hop_delay: SimDuration) {
+        let p = self.pending.get_mut(&req).expect("step for live request");
+        let gen = p.lookup.attempt();
+        match step {
+            Step::Attempt { at, backoff } => {
+                p.current = at;
+                let delay = SimDuration::from_ticks(backoff);
+                let at = arena_index(at);
+                self.schedule_in(delay, Message::FindSuccessor { req, gen, at });
+                if let Some(ticks) = self.config.timeout_ticks {
+                    let deadline = SimDuration::from_ticks(backoff.saturating_add(ticks));
+                    self.schedule_in(deadline, Message::Timeout { req, gen });
+                }
+            }
+            Step::Forward(next) => {
+                let next = arena_index(next);
+                self.schedule_in(hop_delay, Message::NextHop { req, gen, next });
+            }
+            Step::Stuck(e) => {
+                debug_assert_eq!(e, LookupError::SuccessorsAllDead);
+                // The failure travels back to the origin before the
+                // policy reacts (its probes' latency is already charged).
+                let next = NO_NEXT;
+                self.schedule_in(hop_delay, Message::NextHop { req, gen, next });
+            }
+            Step::Resolved(hit) => {
+                p.answer = Some(hit);
+                self.schedule_in(hop_delay, Message::Notify { req, gen });
+            }
+            Step::Finished { result, after } => {
+                let at = self.now.saturating_add(SimDuration::from_ticks(after));
+                self.complete(net, req, result, at);
+            }
         }
     }
 
     fn process(&mut self, net: &ChordNetwork, faults: &crate::FaultPlan, msg: Message) {
         match msg {
-            Message::FindSuccessor { req, gen, at, hops } => {
-                self.on_find(net, faults, req, gen, at, hops)
-            }
+            Message::FindSuccessor { req, gen, at } => self.on_find(net, faults, req, gen, at),
             Message::NextHop { req, gen, next } => self.on_next(net, req, gen, next),
-            Message::Notify {
-                req,
-                gen,
-                owner,
-                hops,
-                captured,
-            } => self.on_notify(net, req, gen, owner, hops, captured),
+            Message::Notify { req, gen } => self.on_notify(net, req, gen),
             Message::Timeout { req, gen } => self.on_timeout(net, req, gen),
         }
     }
 
-    /// A hop processes one step of the walk — the engine's only call
-    /// into the shared routing code.
+    /// A hop processes one step of the walk: the machine's hop
+    /// transition, its answer delayed by the hop's latency.
     fn on_find(
         &mut self,
         net: &ChordNetwork,
         faults: &crate::FaultPlan,
         req: u64,
-        gen: u32,
+        gen: u8,
         at: u32,
-        hops: u32,
     ) {
-        let Some(p) = self.pending.get_mut(&req) else {
-            return;
-        };
-        if p.generation != gen || p.resolved {
+        let Some(p) = self.pending.get_mut(&req).filter(|p| p.live(gen)) else {
             return; // stale: the attempt was retried out from under it
-        }
+        };
         let current = NodeId::from_index(at as usize);
         p.current = current;
-        p.hops = hops;
-
-        // Hop-cap check, origin-side like the sync loop's.
-        if hops > net.config().max_hops() {
-            if let Some(t) = p.trace.take() {
-                t.finish(net, TraceOutcome::Unresolved, &p.cost);
-            }
-            let e = LookupError::HopLimitExceeded {
-                max_hops: net.config().max_hops(),
-            };
-            self.attempt_failed(net, req, e);
-            return;
-        }
-
-        // The hop died while the request was in flight (churn the sync
-        // walk cannot see): the probe costs one timed-out message and
-        // reports no progress; the policy tiers take it from there.
-        if !net.node(current).is_alive() {
-            p.cost.messages += 1;
-            let d = net.config().latency().sample(&mut p.rng).ticks();
-            p.cost.latency += d;
-            let delay = self.wall_delay(current, d);
-            self.schedule_in(
-                delay,
-                Message::NextHop {
-                    req,
-                    gen,
-                    next: NO_NEXT,
-                },
-            );
-            return;
-        }
-
-        let before = p.cost.latency;
-        let target = p.target;
-        let ordinal = p.ordinal;
-        let mut cost = p.cost;
-        let mut skip = p.skip;
-        let mut trace = p.trace.take();
-        let outcome = net.hop_step(
-            current, target, faults, hops, ordinal, &mut cost, &mut skip, &mut trace, &mut p.rng,
-        );
-        p.cost = cost;
-        p.skip = skip;
-        p.trace = trace;
-        let step_latency = p.cost.latency - before;
-        let attempt_latency = p.cost.latency;
-        let skip_total = p.skip;
-        let attempt = p.attempt;
-        if matches!(outcome, HopOutcome::Done(_)) {
-            p.resolved = true;
-        }
-        let delay = self.wall_delay(current, step_latency);
-        match outcome {
-            HopOutcome::Done(hit) => {
-                // Attempt resolved: close its spans and charge the
-                // policy bookkeeping now (sync order); the answer itself
-                // still has to travel back to the origin.
-                let profiler = net.metrics().recorder().profiler();
-                profiler.add(
-                    net.counters().span_finger_walk,
-                    attempt_latency - skip_total,
-                );
-                if skip_total > 0 {
-                    profiler.add(net.counters().span_demoted_skip, skip_total);
-                }
-                if attempt > 1 {
-                    net.metrics()
-                        .recorder()
-                        .add(net.counters().lookup_fallback_depth, 1);
-                }
-                let captured = hit.point != net.node(hit.node).point();
-                self.schedule_in(
-                    delay,
-                    Message::Notify {
-                        req,
-                        gen,
-                        owner: u32::try_from(hit.node.index()).expect("arena indexes fit u32"),
-                        hops: hit.hops,
-                        captured,
-                    },
-                );
-            }
-            HopOutcome::Forward(next) => {
-                self.schedule_in(
-                    delay,
-                    Message::NextHop {
-                        req,
-                        gen,
-                        next: u32::try_from(next.index()).expect("arena indexes fit u32"),
-                    },
-                );
-            }
-            HopOutcome::Failed(e) => {
-                debug_assert_eq!(e, LookupError::SuccessorsAllDead);
-                // The failure still travels back to the origin before the
-                // policy reacts (its probes' latency is already charged).
-                self.schedule_in(
-                    delay,
-                    Message::NextHop {
-                        req,
-                        gen,
-                        next: NO_NEXT,
-                    },
-                );
-            }
-        }
+        let before = p.lookup.latency();
+        let step = p
+            .lookup
+            .hop(net, current, faults, net.retry_policy(), &mut p.rng);
+        let hop_latency = p.lookup.latency() - before;
+        let delay = self.wall_delay(current, hop_latency);
+        self.follow(net, req, step, delay);
     }
 
     /// The origin hears back from a hop: either forward the walk one
     /// step (same tick — iterative routing charges nothing between
-    /// hops), or fail the attempt into the policy tiers.
-    fn on_next(&mut self, net: &ChordNetwork, req: u64, gen: u32, next: u32) {
-        let Some(p) = self.pending.get_mut(&req) else {
+    /// hops), or fail the attempt.
+    fn on_next(&mut self, net: &ChordNetwork, req: u64, gen: u8, next: u32) {
+        let Some(p) = self.pending.get_mut(&req).filter(|p| p.live(gen)) else {
             return;
         };
-        if p.generation != gen || p.resolved {
+        if next != NO_NEXT {
+            let msg = Message::FindSuccessor { req, gen, at: next };
+            self.schedule_in(SimDuration::ZERO, msg);
             return;
         }
-        if next == NO_NEXT {
-            self.attempt_failed(net, req, LookupError::SuccessorsAllDead);
-            return;
-        }
-        let hops = p.hops + 1;
-        self.schedule_in(
-            SimDuration::ZERO,
-            Message::FindSuccessor {
-                req,
-                gen,
-                at: next,
-                hops,
-            },
-        );
+        let e = LookupError::SuccessorsAllDead;
+        let step = p.lookup.fail(net, e, net.retry_policy(), &mut p.rng);
+        self.follow(net, req, step, SimDuration::ZERO);
     }
 
     /// The terminal answer lands at the origin: exactly-once completion.
-    fn on_notify(
-        &mut self,
-        net: &ChordNetwork,
-        req: u64,
-        gen: u32,
-        owner: u32,
-        hops: u32,
-        captured: bool,
-    ) {
-        let Some(p) = self.pending.get(&req) else {
-            return;
-        };
-        if p.generation != gen || !p.resolved {
-            return;
+    fn on_notify(&mut self, net: &ChordNetwork, req: u64, gen: u8) {
+        let answer = self.pending.get(&req).and_then(|p| {
+            // Stale unless it is the resolved attempt's own answer.
+            p.answer.filter(|_| p.lookup.attempt() == gen)
+        });
+        if let Some(hit) = answer {
+            self.complete(net, req, Ok(hit), self.now);
         }
-        let node = NodeId::from_index(owner as usize);
-        let point = if captured {
-            p.target
-        } else {
-            net.node(node).point()
-        };
-        let cost = Cost {
-            messages: p.cost.messages + p.spent.messages,
-            latency: p.cost.latency + p.spent.latency,
-        };
-        let result = LookupResult {
-            node,
-            point,
-            hops,
-            cost,
-        };
-        self.complete(net, req, Ok(result), self.now);
     }
 
     /// A deadline fired. Stale generations and resolved attempts (the
     /// answer is already on the wire) are no-ops; a live one counts,
     /// penalizes the peer being waited on, and — with a policy armed —
-    /// preempts the attempt into retry/fallback. Without a policy it
-    /// merely re-arms: pure observation.
-    fn on_timeout(&mut self, net: &ChordNetwork, req: u64, gen: u32) {
-        let Some(p) = self.pending.get_mut(&req) else {
+    /// fails the attempt into retry/fallback. Without a policy it merely
+    /// re-arms: pure observation.
+    fn on_timeout(&mut self, net: &ChordNetwork, req: u64, gen: u8) {
+        let Some(p) = self.pending.get_mut(&req).filter(|p| p.live(gen)) else {
             return;
         };
-        if p.generation != gen || p.resolved {
-            return;
-        }
         let timeout_ticks = self
             .config
             .timeout_ticks
             .expect("a deadline fired, so deadlines are armed");
-        let recorder = net.metrics().recorder();
-        recorder.incr(net.counters().engine_timeouts);
+        net.metrics()
+            .recorder()
+            .incr(net.counters().engine_timeouts);
         p.timeouts += 1;
         // A deadline is stronger evidence than one failed probe: record
         // two strikes, enough to penalize a slow-but-alive peer on the
@@ -641,67 +470,16 @@ impl LookupEngine {
             scores.record(p.current, false);
             scores.record(p.current, false);
         }
-        if net.retry_policy().is_none() {
-            let gen = p.generation;
+        let Some(policy) = net.retry_policy() else {
             let deadline = SimDuration::from_ticks(timeout_ticks);
             self.schedule_in(deadline, Message::Timeout { req, gen });
             return;
-        }
+        };
         // Preempt: the attempt's probes were paid for even though it
         // never failed outright.
-        if let Some(t) = p.trace.take() {
-            t.finish(net, TraceOutcome::Unresolved, &p.cost);
-        }
         let e = LookupError::TimedOut { timeout_ticks };
-        self.attempt_failed(net, req, e);
-    }
-
-    /// Shared failure path: close the attempt's spans, fold its cost
-    /// into `spent`, then retry (next generation), degrade through
-    /// [`fallback_resolve`](ChordNetwork) or complete with the error —
-    /// the sync policy loop's control flow, replayed at event time.
-    fn attempt_failed(&mut self, net: &ChordNetwork, req: u64, e: LookupError) {
-        let counters = net.counters();
-        let recorder = net.metrics().recorder();
-        let p = self
-            .pending
-            .get_mut(&req)
-            .expect("failed attempt has state");
-        let profiler = recorder.profiler();
-        profiler.add(counters.span_finger_walk, p.cost.latency - p.skip);
-        if p.skip > 0 {
-            profiler.add(counters.span_demoted_skip, p.skip);
-        }
-        p.spent.messages += p.cost.messages;
-        p.spent.latency += p.cost.latency;
-        p.cost = Cost::FREE;
-        p.skip = 0;
-        let Some(policy) = net.retry_policy() else {
-            self.complete(net, req, Err(e), self.now);
-            return;
-        };
-        if p.attempt < policy.max_attempts.max(1) {
-            p.attempt += 1;
-            p.generation += 1;
-            self.start_attempt(net, req);
-            return;
-        }
-        // Attempts exhausted: degrade through the shared fallback tiers.
-        // They resolve synchronously (walk hops are successor-chain
-        // traversals from the origin, the quorum is an out-of-band
-        // directory round); the wall-clock charge is their latency delta.
-        let entry_latency = p.spent.latency;
-        let spent = p.spent;
-        let from = p.from;
-        let target = p.target;
-        let result = net.fallback_resolve(from, target, spent, e, &mut p.rng);
-        let completed_at = match &result {
-            Ok(hit) => self
-                .now
-                .saturating_add(SimDuration::from_ticks(hit.cost.latency - entry_latency)),
-            Err(_) => self.now,
-        };
-        self.complete(net, req, result, completed_at);
+        let step = p.lookup.fail(net, e, Some(policy), &mut p.rng);
+        self.follow(net, req, step, SimDuration::ZERO);
     }
 
     /// Removes the request, records the engine-level telemetry
@@ -718,16 +496,25 @@ impl LookupEngine {
         let recorder = net.metrics().recorder();
         recorder.incr(net.counters().engine_completions);
         let age = completed_at - p.submitted_at;
-        recorder.record_with_exemplar(net.counters().engine_age_hist, age.ticks(), p.ordinal);
+        recorder.record_with_exemplar(
+            net.counters().engine_age_hist,
+            age.ticks(),
+            p.lookup.ordinal(),
+        );
         self.completions.push(Completion {
             tag,
             submitted_at: p.submitted_at,
             started_at: p.started_at,
             completed_at,
-            attempts: p.attempt,
+            attempts: p.lookup.attempt(),
             timeouts: p.timeouts,
             result,
         });
         self.admit(net);
     }
+}
+
+/// A node's arena index as carried in a [`Message`].
+fn arena_index(id: NodeId) -> u32 {
+    u32::try_from(id.index()).expect("arena indexes fit u32")
 }

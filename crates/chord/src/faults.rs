@@ -31,11 +31,11 @@
 //! exercises. Plans are *composable*: [`FaultPlan::merge`] layers one
 //! plan's behaviours onto another's without clobbering (a coalition plan
 //! can ride on top of a hand-built plan), and [`FaultPlan::clear`] resets
-//! a plan to honest. [`ChordNetwork::find_successor_with_faults`] and
+//! a plan to honest. [`ChordNetwork::find_successor_with_policy`] and
 //! [`ChordDht::with_fault_plan`] apply a plan without touching
 //! honest-path code.
 //!
-//! [`ChordNetwork::find_successor_with_faults`]: crate::ChordNetwork::find_successor_with_faults
+//! [`ChordNetwork::find_successor_with_policy`]: crate::ChordNetwork::find_successor_with_policy
 //! [`ChordDht::with_fault_plan`]: crate::ChordDht::with_fault_plan
 
 use std::collections::HashMap;

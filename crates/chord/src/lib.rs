@@ -67,7 +67,6 @@ pub mod engine;
 pub mod faults;
 mod lookup;
 mod maintenance;
-pub mod msg;
 mod multimap;
 mod network;
 pub mod score;

@@ -6,34 +6,28 @@ use rand::Rng;
 use telemetry::{FallbackTier, HopRecord, LookupTrace, TraceOutcome};
 
 use crate::network::{ChordNetwork, NodeId};
+use crate::RetryPolicy;
 
-/// Per-lookup trace state, allocated only when the recorder's tracing
+/// Per-attempt trace state, allocated only when the recorder's tracing
 /// flag is on — the disabled hot path pays one relaxed atomic load.
-/// Crate-visible so the async [`engine`](crate::engine) builds the same
-/// traces hop-for-hop.
-pub(crate) struct TraceBuilder {
-    pub(crate) from: Point,
-    pub(crate) target: Point,
-    pub(crate) hops: Vec<HopRecord>,
+/// Owned by the [`Lookup`] machine, so the sync loop and the async
+/// [`engine`](crate::engine) build the same traces hop-for-hop.
+struct TraceBuilder {
+    from: Point,
+    target: Point,
+    hops: Vec<HopRecord>,
     /// Latency accounted so far, to attribute per-hop deltas (probe
     /// timeouts included in the hop that paid for them).
-    pub(crate) seen_latency: u64,
+    seen_latency: u64,
     /// Retry attempt stamped on every routed hop (0 = first try).
-    pub(crate) attempt: u8,
+    attempt: u8,
     /// Operation ordinal (from `Recorder::next_op_ordinal`) — the id
     /// histogram exemplars carry, so tail buckets join back to traces.
-    pub(crate) ordinal: u64,
+    ordinal: u64,
 }
 
 impl TraceBuilder {
-    pub(crate) fn hop(
-        &mut self,
-        net: &ChordNetwork,
-        origin: Point,
-        to: NodeId,
-        forged: bool,
-        cost: &Cost,
-    ) {
+    fn hop(&mut self, net: &ChordNetwork, origin: Point, to: NodeId, forged: bool, cost: &Cost) {
         let to_point = net.node(to).point();
         let distance = net.space().distance(origin, to_point).get();
         let finger_level = if distance == 0 {
@@ -54,7 +48,7 @@ impl TraceBuilder {
 
     /// A synthetic fallback-tier hop (successor-walk step or quorum
     /// round); `finger_level` is 0 — no finger resolved it.
-    pub(crate) fn fallback_hop(&mut self, node: Point, tier: FallbackTier, total_latency: u64) {
+    fn fallback_hop(&mut self, node: Point, tier: FallbackTier, total_latency: u64) {
         self.hops.push(HopRecord {
             node: node.get(),
             finger_level: 0,
@@ -66,7 +60,7 @@ impl TraceBuilder {
         self.seen_latency = total_latency;
     }
 
-    pub(crate) fn finish(self, net: &ChordNetwork, outcome: TraceOutcome, cost: &Cost) {
+    fn finish(self, net: &ChordNetwork, outcome: TraceOutcome, cost: &Cost) {
         net.metrics().recorder().push_trace(LookupTrace {
             from: self.from.get(),
             target: self.target.get(),
@@ -140,13 +134,238 @@ pub struct LookupResult {
 
 /// What one [`ChordNetwork::hop_step`] decided: the routed walk either
 /// resolved, must forward to a next hop, or cannot make progress.
-pub(crate) enum HopOutcome {
+enum HopOutcome {
     /// The lookup resolved (or was Byzantine-captured) at this hop.
     Done(LookupResult),
     /// Forward the lookup to this next node (one more hop).
     Forward(NodeId),
     /// The hop could not make progress; the walk fails with this error.
     Failed(LookupError),
+}
+
+/// What a [`Lookup`] transition asks its driver to do next.
+pub(crate) enum Step {
+    /// Route the current attempt from the origin `at`, `backoff` ticks
+    /// from now (nonzero only on a retry).
+    Attempt {
+        /// The origin.
+        at: NodeId,
+        /// Retry backoff to wait first, in ticks.
+        backoff: u64,
+    },
+    /// Ask this node for the walk's next step.
+    Forward(NodeId),
+    /// The hop just processed could not make progress; the driver hands
+    /// the error back to [`Lookup::fail`].
+    Stuck(LookupError),
+    /// The attempt resolved, its cost fully attributed.
+    Resolved(LookupResult),
+    /// The lookup is over, `after` ticks from now (a retry's backoff
+    /// before a dead-origin exit, or the fallback tiers' latency).
+    Finished {
+        /// The final answer.
+        result: Result<LookupResult, LookupError>,
+        /// Simulated time the last transition still spends, in ticks.
+        after: u64,
+    },
+}
+
+/// One lookup's protocol: routed attempts, retry with backoff, then the
+/// successor-walk and verified-quorum tiers, as a per-request state
+/// machine with plain transitions — [`begin`](Lookup::begin),
+/// [`hop`](Lookup::hop) and [`fail`](Lookup::fail).
+///
+/// It has two drivers. [`ChordNetwork::find_successor`] and
+/// [`ChordNetwork::find_successor_with_policy`] run it in an inline
+/// zero-latency loop; the async [`engine`](crate::engine) runs it from
+/// `EventQueue` messages and adds only time. Every recorder side effect
+/// (counters, spans, ordinals, traces) happens inside a transition, in
+/// one fixed order, so the drivers agree bit for bit at zero latency.
+///
+/// Each transition takes the [`RetryPolicy`] as an argument rather than
+/// reading the network's: `find_successor` runs without one even while
+/// a policy is armed.
+pub(crate) struct Lookup {
+    from: NodeId,
+    target: Point,
+    /// 1-based routed attempt.
+    attempt: u8,
+    /// Cost folded in from closed attempts plus backoff.
+    spent: Cost,
+    /// Running cost of the current attempt.
+    cost: Cost,
+    /// Latency of the current attempt's dead probes against
+    /// score-demoted candidates, for the `lookup;demoted_skip` span.
+    skip: u64,
+    /// Hops taken by the current attempt.
+    hops: u32,
+    /// Op ordinal of the current attempt (exemplar / trace id).
+    ordinal: u64,
+    trace: Option<TraceBuilder>,
+}
+
+impl Lookup {
+    /// A lookup for `target` from `from`, before its first attempt.
+    pub(crate) fn new(from: NodeId, target: Point) -> Lookup {
+        Lookup {
+            from,
+            target,
+            attempt: 1,
+            spent: Cost::FREE,
+            cost: Cost::FREE,
+            skip: 0,
+            hops: 0,
+            ordinal: 0,
+            trace: None,
+        }
+    }
+
+    /// The current 1-based attempt.
+    pub(crate) fn attempt(&self) -> u8 {
+        self.attempt
+    }
+
+    /// Op ordinal of the current attempt.
+    pub(crate) fn ordinal(&self) -> u64 {
+        self.ordinal
+    }
+
+    /// Latency accounted so far, every attempt and backoff included.
+    pub(crate) fn latency(&self) -> u64 {
+        self.spent.latency + self.cost.latency
+    }
+
+    /// Begins the current attempt: charges the backoff of a retry, exits
+    /// on a dead origin (no tier can act for it), then draws the op
+    /// ordinal and allocates the trace.
+    pub(crate) fn begin(&mut self, net: &ChordNetwork, policy: Option<RetryPolicy>) -> Step {
+        let counters = net.counters();
+        let recorder = net.metrics().recorder();
+        let mut backoff = 0;
+        if self.attempt > 1 {
+            let policy = policy.expect("retries imply a policy");
+            // Backoff is pure waiting: latency, no messages.
+            backoff = policy.backoff_ticks(self.attempt - 1);
+            self.spent.latency += backoff;
+            recorder.incr(counters.lookup_retries);
+            recorder
+                .profiler()
+                .add(counters.span_retry_backoff, backoff);
+        }
+        if !net.node(self.from).is_alive() {
+            self.close_attempt(net);
+            return Step::Finished {
+                result: Err(LookupError::StartDead),
+                after: backoff,
+            };
+        }
+        // Drawn whether or not tracing is on, so exemplar ids agree
+        // between traced and untraced replays of the same seed.
+        self.ordinal = recorder.next_op_ordinal();
+        self.hops = 0;
+        self.trace = recorder.tracing_enabled().then(|| TraceBuilder {
+            from: net.node(self.from).point(),
+            target: self.target,
+            hops: Vec::new(),
+            seen_latency: 0,
+            attempt: self.attempt - 1,
+            ordinal: self.ordinal,
+        });
+        Step::Attempt {
+            at: self.from,
+            backoff,
+        }
+    }
+
+    /// Processes the current attempt's hop at `at`: the hop cap first,
+    /// then a hop that died while the walk was on its way to it (one
+    /// timed-out probe, no progress — only the engine can deliver one),
+    /// then one [`hop_step`](ChordNetwork::hop_step). A resolving hop
+    /// closes the attempt.
+    pub(crate) fn hop<R: Rng + ?Sized>(
+        &mut self,
+        net: &ChordNetwork,
+        at: NodeId,
+        faults: &crate::FaultPlan,
+        policy: Option<RetryPolicy>,
+        rng: &mut R,
+    ) -> Step {
+        let max_hops = net.config().max_hops();
+        if self.hops > max_hops {
+            return self.fail(net, LookupError::HopLimitExceeded { max_hops }, policy, rng);
+        }
+        if !net.node(at).is_alive() {
+            self.cost.messages += 1;
+            self.cost.latency += net.config().latency().sample(rng).ticks();
+            return Step::Stuck(LookupError::SuccessorsAllDead);
+        }
+        match net.hop_step(self, at, faults, rng) {
+            HopOutcome::Forward(next) => {
+                self.hops += 1;
+                Step::Forward(next)
+            }
+            HopOutcome::Failed(e) => Step::Stuck(e),
+            HopOutcome::Done(mut hit) => {
+                self.close_attempt(net);
+                hit.cost = self.spent;
+                if self.attempt > 1 {
+                    net.metrics()
+                        .recorder()
+                        .add(net.counters().lookup_fallback_depth, 1);
+                }
+                Step::Resolved(hit)
+            }
+        }
+    }
+
+    /// Fails the current attempt with `e`: closes it, then retries with
+    /// backoff, degrades through
+    /// [`fallback_resolve`](ChordNetwork::fallback_resolve) once the
+    /// attempts are spent, or — with no policy — ends with `e`.
+    pub(crate) fn fail<R: Rng + ?Sized>(
+        &mut self,
+        net: &ChordNetwork,
+        e: LookupError,
+        policy: Option<RetryPolicy>,
+        rng: &mut R,
+    ) -> Step {
+        self.close_attempt(net);
+        let Some(policy) = policy else {
+            return Step::Finished {
+                result: Err(e),
+                after: 0,
+            };
+        };
+        if self.attempt < policy.max_attempts.max(1) {
+            self.attempt += 1;
+            return self.begin(net, Some(policy));
+        }
+        let entry = self.spent.latency;
+        let result = net.fallback_resolve(self.from, self.target, self.spent, e, &policy, rng);
+        let after = result.as_ref().map_or(0, |hit| hit.cost.latency - entry);
+        Step::Finished { result, after }
+    }
+
+    /// Ends the current attempt: finishes a trace still open as
+    /// `Unresolved`, charges the attempt's routed latency to
+    /// `lookup;finger_walk` (minus the share burnt probing score-demoted
+    /// candidates, which goes to `lookup;demoted_skip`) and folds its
+    /// cost into `spent`.
+    fn close_attempt(&mut self, net: &ChordNetwork) {
+        if let Some(t) = self.trace.take() {
+            t.finish(net, TraceOutcome::Unresolved, &self.cost);
+        }
+        let counters = net.counters();
+        let profiler = net.metrics().recorder().profiler();
+        profiler.add(counters.span_finger_walk, self.cost.latency - self.skip);
+        if self.skip > 0 {
+            profiler.add(counters.span_demoted_skip, self.skip);
+        }
+        self.spent.messages += self.cost.messages;
+        self.spent.latency += self.cost.latency;
+        self.cost = Cost::FREE;
+        self.skip = 0;
+    }
 }
 
 impl ChordNetwork {
@@ -160,6 +379,10 @@ impl ChordNetwork {
     /// and one latency sample; contacting a dead node costs the same (a
     /// timed-out probe) and the router falls back to the next candidate.
     ///
+    /// An armed [`RetryPolicy`] is ignored here (maintenance and storage
+    /// route through this entry); see
+    /// [`find_successor_with_policy`](ChordNetwork::find_successor_with_policy).
+    ///
     /// # Errors
     ///
     /// * [`LookupError::StartDead`] — `from` is dead.
@@ -172,138 +395,97 @@ impl ChordNetwork {
         target: Point,
         rng: &mut R,
     ) -> Result<LookupResult, LookupError> {
-        self.find_successor_with_faults(from, target, &crate::FaultPlan::none(), rng)
+        self.run_lookup(from, target, &crate::FaultPlan::none(), None, rng)
     }
 
     /// [`find_successor`](ChordNetwork::find_successor) with routing-level
-    /// fault injection: any hop that reaches a node for which
+    /// fault injection, under the armed [`RetryPolicy`] — the
+    /// graceful-degradation entry point used by the DHT facade.
+    ///
+    /// Any hop that reaches a node for which
     /// [`FaultPlan::claims_ownership`](crate::FaultPlan::claims_ownership)
     /// holds is answered by that node claiming the target for itself,
     /// regardless of ring position. The originating node is exempt (a peer
-    /// trusts its own state; the attack is on *remote* answers).
+    /// trusts its own state; the attack is on *remote* answers). With an
+    /// empty plan and no policy armed this is byte-for-byte
+    /// `find_successor`.
     ///
-    /// With an empty plan this is byte-for-byte the honest lookup.
+    /// With a policy, a failed routed attempt is retried up to
+    /// `max_attempts` times, each retry paying a deterministic backoff
+    /// (`backoff_base << (k − 1)` latency ticks, no messages) — with
+    /// adaptive scoring on, the failed attempt's dead probes have already
+    /// re-ranked the next attempt's candidates. If every routed attempt
+    /// fails, the lookup *degrades* instead of erroring:
+    ///
+    /// * **successor-walk** (fallback depth 2): pure `next`-pointer
+    ///   progress from the origin for up to `walk_limit` hops, one
+    ///   message per hop — correct on any ring whose live successor
+    ///   chain is intact, no fingers needed;
+    /// * **verified-quorum resolution** (fallback depth 3): an
+    ///   out-of-band query of the quorum-verified position directory,
+    ///   charged `quorum_messages` messages plus one parallel round of
+    ///   latency. Returns the true owner whenever any live node exists.
+    ///
+    /// All failed-attempt cost is carried into the returned
+    /// [`LookupResult::cost`], and every escalation bumps
+    /// `lookup.retries` / `lookup.fallback_depth`, so degraded answers
+    /// arrive with their extra cost attributed.
     ///
     /// # Errors
     ///
-    /// Same as [`find_successor`](ChordNetwork::find_successor).
-    pub fn find_successor_with_faults<R: Rng + ?Sized>(
+    /// [`LookupError::StartDead`] when `from` is dead (no fallback can
+    /// act for a dead origin); with a policy, the last routed error only
+    /// if the ring has no live nodes left to resolve against; without
+    /// one, the errors of [`find_successor`](ChordNetwork::find_successor).
+    pub fn find_successor_with_policy<R: Rng + ?Sized>(
         &self,
         from: NodeId,
         target: Point,
         faults: &crate::FaultPlan,
         rng: &mut R,
     ) -> Result<LookupResult, LookupError> {
-        self.route_with_faults(from, target, faults, 0, rng)
-            .map_err(|(e, _)| e)
+        self.run_lookup(from, target, faults, self.retry_policy(), rng)
     }
 
-    /// The routing loop behind
-    /// [`find_successor_with_faults`](ChordNetwork::find_successor_with_faults),
-    /// reporting the cost spent on *failed* lookups too so the retry
-    /// policy can attribute it instead of losing it with the `Err`.
-    /// `attempt` is stamped on every traced hop (0 = first try).
-    ///
-    /// Wraps the routing loop with span attribution: routed latency is
-    /// charged to `lookup;finger_walk`, minus the share burnt probing
-    /// score-demoted candidates, which goes to `lookup;demoted_skip`.
-    fn route_with_faults<R: Rng + ?Sized>(
+    /// The zero-latency driver of the [`Lookup`] machine: every step the
+    /// engine would send as a message is taken inline.
+    fn run_lookup<R: Rng + ?Sized>(
         &self,
         from: NodeId,
         target: Point,
         faults: &crate::FaultPlan,
-        attempt: u8,
+        policy: Option<RetryPolicy>,
         rng: &mut R,
-    ) -> Result<LookupResult, (LookupError, Cost)> {
-        let mut skip = 0u64;
-        let out = self.route_attempt(from, target, faults, attempt, &mut skip, rng);
-        let total = match &out {
-            Ok(hit) => hit.cost.latency,
-            Err((_, cost)) => cost.latency,
-        };
-        let profiler = self.metrics().recorder().profiler();
-        profiler.add(self.counters().span_finger_walk, total - skip);
-        if skip > 0 {
-            profiler.add(self.counters().span_demoted_skip, skip);
-        }
-        out
-    }
-
-    /// One routed attempt (the iterative walk itself); `skip` accumulates
-    /// the latency of dead probes against score-demoted candidates, for
-    /// the `lookup;demoted_skip` span.
-    fn route_attempt<R: Rng + ?Sized>(
-        &self,
-        from: NodeId,
-        target: Point,
-        faults: &crate::FaultPlan,
-        attempt: u8,
-        skip: &mut u64,
-        rng: &mut R,
-    ) -> Result<LookupResult, (LookupError, Cost)> {
-        if !self.node(from).is_alive() {
-            return Err((LookupError::StartDead, Cost::FREE));
-        }
-        let recorder = self.metrics().recorder();
-        // Drawn whether or not tracing is on, so exemplar ids agree
-        // between traced and untraced replays of the same seed.
-        let ordinal = recorder.next_op_ordinal();
-        let mut cost = Cost::FREE;
-        let mut trace = recorder.tracing_enabled().then(|| TraceBuilder {
-            from: self.node(from).point(),
-            target,
-            hops: Vec::new(),
-            seen_latency: 0,
-            attempt,
-            ordinal,
-        });
-
-        let mut current = from;
-        let mut hops = 0u32;
+    ) -> Result<LookupResult, LookupError> {
+        let mut walk = Lookup::new(from, target);
+        let mut step = walk.begin(self, policy);
         loop {
-            if hops > self.config().max_hops() {
-                if let Some(t) = trace.take() {
-                    t.finish(self, TraceOutcome::Unresolved, &cost);
+            step = match step {
+                Step::Attempt { at, .. } | Step::Forward(at) => {
+                    walk.hop(self, at, faults, policy, rng)
                 }
-                return Err((
-                    LookupError::HopLimitExceeded {
-                        max_hops: self.config().max_hops(),
-                    },
-                    cost,
-                ));
-            }
-            match self.hop_step(
-                current, target, faults, hops, ordinal, &mut cost, skip, &mut trace, rng,
-            ) {
-                HopOutcome::Done(hit) => return Ok(hit),
-                HopOutcome::Failed(e) => return Err((e, cost)),
-                HopOutcome::Forward(next) => {
-                    current = next;
-                    hops += 1;
-                }
-            }
+                Step::Stuck(e) => walk.fail(self, e, policy, rng),
+                Step::Resolved(hit) => return Ok(hit),
+                Step::Finished { result, .. } => return result,
+            };
         }
     }
 
-    /// One hop of the iterative walk, shared verbatim between the sync
-    /// loop above and the async [`engine`](crate::engine) (which runs
-    /// exactly one `hop_step` per delivered `FindSuccessor` message).
-    /// All recorder/score side effects happen here in a fixed order, so
-    /// the two drivers stay bit-identical; the hop-cap check stays with
-    /// the caller (the engine enforces it at the origin on `NextHop`).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn hop_step<R: Rng + ?Sized>(
+    /// One hop of the iterative walk at `current`, the routing half of
+    /// [`Lookup::hop`]: it charges the hop's probes to `walk`'s current
+    /// attempt and records its counters and trace hops in a fixed order.
+    /// The machine owns the hop cap and the attempt's span close.
+    fn hop_step<R: Rng + ?Sized>(
         &self,
+        walk: &mut Lookup,
         current: NodeId,
-        target: Point,
         faults: &crate::FaultPlan,
-        hops: u32,
-        ordinal: u64,
-        cost: &mut Cost,
-        skip: &mut u64,
-        trace: &mut Option<TraceBuilder>,
         rng: &mut R,
     ) -> HopOutcome {
+        let (target, hops, ordinal) = (walk.target, walk.hops, walk.ordinal);
+        let Lookup {
+            cost, skip, trace, ..
+        } = walk;
         let counters = self.counters();
         let recorder = self.metrics().recorder();
         let latency_model = self.config().latency();
@@ -494,102 +676,21 @@ impl ChordNetwork {
             })
     }
 
-    /// [`find_successor_with_faults`](ChordNetwork::find_successor_with_faults)
-    /// under the armed [`RetryPolicy`](crate::RetryPolicy) — the
-    /// graceful-degradation entry point used by the DHT facade.
-    ///
-    /// With no policy armed this delegates verbatim (byte-identical cost
-    /// and RNG consumption). With a policy, a failed routed attempt is
-    /// retried up to `max_attempts` times, each retry paying a
-    /// deterministic backoff (`backoff_base << (k − 1)` latency ticks, no
-    /// messages) — with adaptive scoring on, the failed attempt's dead
-    /// probes have already re-ranked the next attempt's candidates. If
-    /// every routed attempt fails, the lookup *degrades* instead of
-    /// erroring:
-    ///
-    /// * **successor-walk** (fallback depth 2): pure `next`-pointer
-    ///   progress from the origin for up to `walk_limit` hops, one
-    ///   message per hop — correct on any ring whose live successor
-    ///   chain is intact, no fingers needed;
-    /// * **verified-quorum resolution** (fallback depth 3): an
-    ///   out-of-band query of the quorum-verified position directory,
-    ///   charged `quorum_messages` messages plus one parallel round of
-    ///   latency. Returns the true owner whenever any live node exists.
-    ///
-    /// All failed-attempt cost is carried into the returned
-    /// [`LookupResult::cost`], and every escalation bumps
-    /// `lookup.retries` / `lookup.fallback_depth`, so degraded answers
-    /// arrive with their extra cost attributed.
-    ///
-    /// # Errors
-    ///
-    /// [`LookupError::StartDead`] when `from` is dead (no fallback can
-    /// act for a dead origin); the last routed error only if the ring has
-    /// no live nodes left to resolve against.
-    pub fn find_successor_with_policy<R: Rng + ?Sized>(
-        &self,
-        from: NodeId,
-        target: Point,
-        faults: &crate::FaultPlan,
-        rng: &mut R,
-    ) -> Result<LookupResult, LookupError> {
-        let Some(policy) = self.retry_policy() else {
-            return self.find_successor_with_faults(from, target, faults, rng);
-        };
-        let counters = self.counters();
-        let recorder = self.metrics().recorder();
-        let mut spent = Cost::FREE;
-        let mut last_err = LookupError::StartDead;
-        for attempt in 1..=policy.max_attempts.max(1) {
-            if attempt > 1 {
-                // Backoff is pure waiting: latency, no messages.
-                let backoff = policy.backoff_ticks(attempt - 1);
-                spent.latency += backoff;
-                recorder.incr(counters.lookup_retries);
-                recorder
-                    .profiler()
-                    .add(counters.span_retry_backoff, backoff);
-            }
-            match self.route_with_faults(from, target, faults, attempt - 1, rng) {
-                Ok(mut hit) => {
-                    hit.cost.messages += spent.messages;
-                    hit.cost.latency += spent.latency;
-                    if attempt > 1 {
-                        recorder.add(counters.lookup_fallback_depth, 1);
-                    }
-                    return Ok(hit);
-                }
-                Err((e, cost)) => {
-                    // A failed attempt still paid for its probes.
-                    spent.messages += cost.messages;
-                    spent.latency += cost.latency;
-                    last_err = e;
-                    if e == LookupError::StartDead {
-                        return Err(e);
-                    }
-                }
-            }
-        }
-        self.fallback_resolve(from, target, spent, last_err, rng)
-    }
-
-    /// The degradation tail shared by the sync policy entry point above
-    /// and the async [`engine`](crate::engine): successor-walk, then
-    /// verified-quorum resolution. `spent` carries the cost of the failed
-    /// routed attempts (and any backoff) so the degraded answer arrives
-    /// fully attributed; `last_err` is returned when even the quorum tier
-    /// has nothing live to resolve against.
-    pub(crate) fn fallback_resolve<R: Rng + ?Sized>(
+    /// The degradation tail [`Lookup::fail`] hands off to once `policy`'s
+    /// routed attempts are spent: successor-walk, then verified-quorum
+    /// resolution. `spent` carries the cost of the failed routed attempts
+    /// (and any backoff) so the degraded answer arrives fully attributed;
+    /// `last_err` is returned when even the quorum tier has nothing live
+    /// to resolve against.
+    fn fallback_resolve<R: Rng + ?Sized>(
         &self,
         from: NodeId,
         target: Point,
         mut spent: Cost,
         last_err: LookupError,
+        policy: &RetryPolicy,
         rng: &mut R,
     ) -> Result<LookupResult, LookupError> {
-        let Some(policy) = self.retry_policy() else {
-            return Err(last_err);
-        };
         let counters = self.counters();
         let recorder = self.metrics().recorder();
         let latency_model = self.config().latency();
@@ -841,12 +942,12 @@ mod tests {
             let target = net.space().random_point(&mut targets);
             let honest = net.find_successor(start, target, &mut lookups).unwrap();
             let faulted = net
-                .find_successor_with_faults(start, target, &plan, &mut lookups)
+                .find_successor_with_policy(start, target, &plan, &mut lookups)
                 .unwrap();
-            // Unit latency draws nothing from the rng, so answers and costs
-            // must match exactly.
-            assert_eq!(honest.node, faulted.node);
-            assert_eq!(honest.cost, faulted.cost);
+            // Unit latency draws nothing from the rng, so the whole result
+            // (owner, hops, cost) must match exactly, and be the true owner.
+            assert_eq!(honest, faulted);
+            assert_eq!(faulted.point, net.ground_truth_successor(target));
         }
         assert_eq!(net.metrics().get("lookup.byzantine_claim"), 0);
     }
@@ -865,7 +966,7 @@ mod tests {
         for _ in 0..100 {
             let target = net.space().random_point(&mut r);
             let hit = net
-                .find_successor_with_faults(start, target, &plan, &mut r)
+                .find_successor_with_policy(start, target, &plan, &mut r)
                 .unwrap();
             if hit.point == net.ground_truth_successor(target) {
                 honest_answers += 1;
@@ -893,7 +994,7 @@ mod tests {
         for _ in 0..20 {
             let target = net.space().random_point(&mut r);
             let hit = net
-                .find_successor_with_faults(start, target, &plan, &mut r)
+                .find_successor_with_policy(start, target, &plan, &mut r)
                 .unwrap();
             assert_eq!(hit.point, net.ground_truth_successor(target));
         }
@@ -936,7 +1037,7 @@ mod tests {
         for _ in 0..20 {
             let target = net.space().random_point(&mut r);
             let hit = net
-                .find_successor_with_faults(start, target, &plan, &mut r)
+                .find_successor_with_policy(start, target, &plan, &mut r)
                 .unwrap();
             if hit.point != net.ground_truth_successor(target) {
                 captured_seen = true;
@@ -984,9 +1085,12 @@ mod tests {
             let policied = net
                 .find_successor_with_policy(start, target, &plan, &mut policy_rng)
                 .unwrap();
+            // Unit latency draws nothing from the rng, so answers and costs
+            // must match exactly.
             assert_eq!(plain.node, policied.node);
             assert_eq!(plain.cost, policied.cost);
         }
+        assert_eq!(net.metrics().get("lookup.byzantine_claim"), 0);
         assert_eq!(net.metrics().get("lookup.retries"), 0);
         assert_eq!(net.metrics().get("lookup.fallback_depth"), 0);
     }

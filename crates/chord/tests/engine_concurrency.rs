@@ -7,8 +7,8 @@
 use std::collections::BTreeSet;
 
 use chord::{
-    AdaptiveConfig, ChordConfig, ChordNetwork, EngineConfig, FaultPlan, LookupEngine, NodeId,
-    RetryPolicy, SlowOverlay,
+    AdaptiveConfig, ChordConfig, ChordNetwork, EngineConfig, FaultPlan, LookupEngine, LookupError,
+    NodeId, RetryPolicy, SlowOverlay,
 };
 use keyspace::{KeySpace, Point};
 use rand::rngs::StdRng;
@@ -90,6 +90,52 @@ fn ten_thousand_churning_lookups_replay_byte_identically() {
     assert_eq!(n1, 10_000, "every request must complete exactly once");
     assert_eq!((n1, d1), (n2, d2), "report must replay byte-identically");
     assert_eq!((n1, d1), (n3, d3), "report must replay byte-identically");
+}
+
+/// Every attempt leaves a trace, including one whose next hop crashed
+/// while the walk was on its way to it: that attempt fails as
+/// `SuccessorsAllDead` and its trace is finished `Unresolved`, as the
+/// sync walk finishes every failed attempt's. With no policy each
+/// request is a single attempt, so every completion except a
+/// dead-origin exit (which never starts a trace) accounts for exactly
+/// one recorded trace.
+#[test]
+fn hops_that_crash_in_flight_still_finish_their_traces() {
+    let mut net = build_net(512, LatencyModel::Uniform { lo: 1, hi: 5 });
+    net.metrics().recorder().set_tracing(true);
+    let mut engine = LookupEngine::new(EngineConfig {
+        seed: SEED ^ 11,
+        ..EngineConfig::default()
+    });
+    let faults = FaultPlan::none();
+    let mut churn_rng = StdRng::seed_from_u64(SEED ^ 12);
+    for window in 1..=8u64 {
+        // A fresh batch each window, so crashes land mid-walk.
+        for (origin, target) in workload(&net, 250, SEED ^ 10 ^ window) {
+            engine.submit(&net, origin, target);
+        }
+        engine.run_until(&net, &faults, SimTime::from_ticks(window * 16));
+        let mut live = net.live_ids();
+        for _ in 0..24 {
+            let victim = live.swap_remove(churn_rng.gen_range(0..live.len()));
+            net.crash(victim);
+        }
+    }
+    engine.drain(&net, &faults);
+
+    let done = engine.completions();
+    assert_eq!(done.len(), 2_000);
+    let failed = done.iter().filter(|c| c.result.is_err()).count();
+    assert!(failed > 0, "crashes must race some in-flight walks");
+    let traced = done
+        .iter()
+        .filter(|c| c.result != Err(LookupError::StartDead))
+        .count();
+    assert_eq!(
+        net.metrics().recorder().traces_recorded(),
+        traced as u64,
+        "every started attempt must finish its trace"
+    );
 }
 
 /// Submission order is not identity: the same tagged workload submitted

@@ -1,9 +1,11 @@
 //! The async engine's ground-truth pin: sync equivalence.
 //!
 //! PR 3–9 built every verdict on the sync walk, so the engine must
-//! answer **identically** before it is allowed to add time. Two
-//! properties, over arbitrary rings, crash plans and Byzantine fault
-//! plans:
+//! answer **identically** before it is allowed to add time. Both run
+//! one lookup state machine, so what this compares is its two drivers:
+//! the inline zero-latency loop and the message-driven event loop. Two
+//! properties, over arbitrary rings, crash plans, Byzantine fault plans,
+//! hop caps and dead origins:
 //!
 //! 1. At zero (unit-constant) latency — where the latency model draws
 //!    nothing from the RNG — a sequentially-driven engine with deadlines
@@ -24,13 +26,18 @@ use rand::SeedableRng;
 use simnet::LatencyModel;
 
 fn build_net(n: usize, seed: u64, latency: LatencyModel, tracing: bool) -> ChordNetwork {
+    build_net_with(
+        n,
+        seed,
+        ChordConfig::default().with_latency(latency),
+        tracing,
+    )
+}
+
+fn build_net_with(n: usize, seed: u64, config: ChordConfig, tracing: bool) -> ChordNetwork {
     let space = KeySpace::full();
     let mut rng = StdRng::seed_from_u64(seed);
-    let net = ChordNetwork::bootstrap(
-        space,
-        space.random_points(&mut rng, n),
-        ChordConfig::default().with_latency(latency),
-    );
+    let net = ChordNetwork::bootstrap(space, space.random_points(&mut rng, n), config);
     net.metrics().recorder().set_tracing(tracing);
     net
 }
@@ -90,14 +97,26 @@ proptest! {
         arc_len in 0usize..16,
         liar_stride in 3usize..8,
         with_policy in any::<bool>(),
+        max_hops in 0u32..=4,
+        dead_origin in any::<bool>(),
         targets in proptest::collection::vec(any::<u64>(), 1..6),
     ) {
         // Two identical worlds: the sync driver and the engine driver.
-        let mut sync_net = build_net(n, seed, LatencyModel::UNIT, true);
-        let mut async_net = build_net(n, seed, LatencyModel::UNIT, true);
+        // `max_hops` 0 keeps the default cap; 1..=4 reaches the hop-cap
+        // exit, and `dead_origin` the dead-origin exit.
+        let mut config = ChordConfig::default().with_latency(LatencyModel::UNIT);
+        if max_hops > 0 {
+            config = config.with_max_hops(max_hops);
+        }
+        let mut sync_net = build_net_with(n, seed, config, true);
+        let mut async_net = build_net_with(n, seed, config, true);
         let plan = apply_plan(&mut sync_net, arc_start, arc_len, liar_stride);
         let async_plan = apply_plan(&mut async_net, arc_start, arc_len, liar_stride);
         prop_assert_eq!(plan.dead.len(), async_plan.dead.len());
+        if dead_origin {
+            sync_net.crash(plan.origin);
+            async_net.crash(async_plan.origin);
+        }
         if with_policy {
             sync_net.enable_retry_policy(RetryPolicy::default());
             async_net.enable_retry_policy(RetryPolicy::default());
