@@ -22,10 +22,11 @@
 //! confirmed recovery (`time_to_recover ≥ 0`) regresses when the candidate
 //! ends the run still breached.
 //!
-//! **Bench histories** compare the *latest* entry of each side (legacy
-//! flat-row files count as a single entry). Metric direction is inferred
-//! from the key: `*speedup*`/`*ratio*` are higher-is-better — except
-//! `*overhead*` keys, which are costs — and everything
+//! **Bench histories** compare the *latest* entry of each side; a file
+//! whose last element is not a `{"sha", "timestamp", "rows"}` entry (an
+//! empty array, or the old flat-row layout) is an `Err`. Metric direction
+//! is inferred from the key: `*speedup*`/`*ratio*` are higher-is-better —
+//! except `*overhead*` keys, which are costs — and everything
 //! else numeric (ns, ms, pct, bytes, lookups) is lower-is-better;
 //! configuration keys (`bench`, `n`, `*_bar`, `*_budget*`) and scenario
 //! constants are skipped. Bands are wide (35% rel) because wall-clock
@@ -199,7 +200,7 @@ pub fn diff_reports(baseline: &str, candidate: &str) -> Result<ReportDiff, Strin
         .map_err(|e| format!("candidate: unparseable JSON ({e})"))?;
     match (kind_of(&base)?, kind_of(&cand)?) {
         (Kind::Sweep, Kind::Sweep) => Ok(diff_sweeps(&base, &cand)),
-        (Kind::Bench, Kind::Bench) => Ok(diff_bench_histories(&base, &cand)),
+        (Kind::Bench, Kind::Bench) => diff_bench_histories(&base, &cand),
         (b, c) => Err(format!(
             "kind mismatch: baseline is {b:?}, candidate is {c:?}"
         )),
@@ -211,7 +212,7 @@ pub fn diff_reports(baseline: &str, candidate: &str) -> Result<ReportDiff, Strin
 enum Kind {
     /// An e16 `SweepReport` (object with a `scenarios` array).
     Sweep,
-    /// A `BENCH_*.json` trajectory (array of history entries or rows).
+    /// A `BENCH_*.json` trajectory (array of history entries).
     Bench,
 }
 
@@ -392,27 +393,26 @@ fn diff_watchdog_columns(arm: &str, base: &Value, cand: &Value, diff: &mut Repor
     }
 }
 
-/// The newest rows of a bench trajectory, plus a label for them.
-///
-/// History entries (`{"sha", "timestamp", "rows": [...]}`) yield their
-/// last entry's rows; legacy files whose elements are flat rows yield the
-/// whole array labelled `pre-history`.
-fn latest_rows(history: &Value) -> (String, &[Value]) {
-    let entries = history.as_seq().unwrap_or(&[]);
-    if let Some(last) = entries.last() {
-        if let Some(rows) = last.get("rows").and_then(Value::as_seq) {
-            let sha = last.get("sha").and_then(Value::as_str).unwrap_or("?");
-            return (sha.to_string(), rows);
+/// The rows of a bench history's last entry
+/// (`{"sha", "timestamp", "rows": [...]}`), plus its sha.
+fn latest_rows<'a>(history: &'a Value, side: &str) -> Result<(&'a str, &'a [Value]), String> {
+    let last = history.as_seq().and_then(<[Value]>::last);
+    let rows = last.and_then(|e| e.get("rows")).and_then(Value::as_seq);
+    match (last, rows) {
+        (Some(last), Some(rows)) => {
+            Ok((last.get("sha").and_then(Value::as_str).unwrap_or("?"), rows))
         }
+        _ => Err(format!(
+            "{side}: not a bench history (the last element is not a \
+             {{\"sha\", \"timestamp\", \"rows\"}} entry)"
+        )),
     }
-    ("pre-history".to_string(), entries)
 }
 
 /// Keys that are configuration or scenario constants, not measurements.
 fn bench_key_skipped(key: &str) -> bool {
     key == "bench"
         || key == "n"
-        || key == "legacy_bytes_per_node"
         || key == "maintenance_full_round_lookups"
         || key == "maintenance_dirty_after_64_crashes"
         || key.ends_with("_bar")
@@ -431,10 +431,10 @@ fn bench_direction(key: &str) -> Direction {
     }
 }
 
-fn diff_bench_histories(base: &Value, cand: &Value) -> ReportDiff {
+fn diff_bench_histories(base: &Value, cand: &Value) -> Result<ReportDiff, String> {
     let mut diff = ReportDiff::default();
-    let (base_sha, base_rows) = latest_rows(base);
-    let (cand_sha, cand_rows) = latest_rows(cand);
+    let (base_sha, base_rows) = latest_rows(base, "baseline")?;
+    let (cand_sha, cand_rows) = latest_rows(cand, "candidate")?;
     diff.lines
         .push(format!("comparing bench entries {base_sha} -> {cand_sha}"));
     let row_key = |row: &Value| {
@@ -476,7 +476,7 @@ fn diff_bench_histories(base: &Value, cand: &Value) -> ReportDiff {
             }
         }
     }
-    diff
+    Ok(diff)
 }
 
 #[cfg(test)]
@@ -748,12 +748,21 @@ mod tests {
     }
 
     #[test]
-    fn legacy_flat_row_files_are_one_entry() {
-        let legacy = r#"[{"bench": "ringidx_vs_scan", "n": 1000, "successor_index_ns": 22.6,
-                          "successor_speedup": 51.3}]"#;
-        let diff = diff_reports(legacy, legacy).unwrap();
-        assert!(diff.clean());
-        assert!(diff.lines[0].contains("pre-history"));
+    fn flat_row_files_are_errors_not_histories() {
+        let flat = r#"[{"bench": "ringidx_vs_scan", "n": 1000, "successor_index_ns": 22.6,
+                        "successor_speedup": 51.3}]"#;
+        let history = bench_history(4000, 300.0);
+        for (base, cand, side) in [
+            (flat, history.as_str(), "baseline"),
+            (history.as_str(), flat, "candidate"),
+            ("[]", history.as_str(), "baseline"),
+        ] {
+            let err = diff_reports(base, cand).unwrap_err();
+            assert!(
+                err.starts_with(side) && err.contains("not a bench history"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

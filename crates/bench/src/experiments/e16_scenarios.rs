@@ -369,50 +369,53 @@ fn run_scale(ctx: &ExpContext, oracle_n: usize) -> Table {
     table
 }
 
-/// Runs the preset sweep, the coalition battery, the failure-domain
-/// battery and the async-engine battery, rendering one summary table for
-/// each.
+/// The e16 batteries, in the fixed order their tables come out in.
+const BATTERIES: [&str; 4] = ["presets", "coalition", "domains", "engine"];
+
+/// Parses `RP_BATTERY` (a comma list of [`BATTERIES`] names) into one
+/// flag per battery; unset selects all four.
 ///
-/// `RP_COALITION=only` skips the preset sweep (the CI smoke job's
-/// dedicated coalition step); `RP_COALITION=off` skips the coalition
-/// battery; `RP_DOMAINS=1`/`only` runs just the failure-domain battery
-/// (the `domain-smoke` CI job) and `RP_DOMAINS=0`/`off` skips it;
-/// `RP_ENGINE=1`/`only` runs just the async-engine battery (the
-/// `engine-smoke` CI job) and `RP_ENGINE=0`/`off` skips it;
-/// `RP_SCALE=<n>` runs the scale arms instead of everything else.
+/// # Panics
+///
+/// Panics on an unknown or empty name: a CI typo must fail the job
+/// loudly, not silently run the wrong battery set.
+fn battery_selection(raw: Option<&str>) -> [bool; 4] {
+    let Some(raw) = raw else {
+        return [true; 4];
+    };
+    let mut selected = [false; 4];
+    for name in raw.split(',') {
+        let Some(i) = BATTERIES.iter().position(|&b| b == name) else {
+            panic!(
+                "RP_BATTERY={raw:?}: {name:?} is not one of {}",
+                BATTERIES.join(",")
+            );
+        };
+        selected[i] = true;
+    }
+    selected
+}
+
+/// Runs the batteries `RP_BATTERY` selects, a comma list drawn from
+/// `presets,coalition,domains,engine` (unset: all four — the preset
+/// sweep, the coalition battery, the failure-domain battery and the
+/// async-engine battery), rendering one summary table for each, always
+/// in that order. An unknown or empty name panics. `RP_SCALE=<n>` runs
+/// the scale arms instead.
 pub fn run(ctx: &ExpContext) -> Vec<Table> {
     export_trace_if_requested(ctx);
     if let Some(oracle_n) = scale_from_env() {
         return vec![run_scale(ctx, oracle_n)];
     }
-    let domains = std::env::var("RP_DOMAINS").unwrap_or_default();
-    match domains.as_str() {
-        "1" | "only" => return vec![run_domains(ctx)],
-        "" | "0" | "off" | "on" => {}
-        // A CI typo must fail the job loudly, not silently run the wrong
-        // battery set (same policy as RP_SCALE / RP_COALITION).
-        other => panic!("RP_DOMAINS={other:?} is not one of 1/only/on/off/0"),
-    }
-    let engine = std::env::var("RP_ENGINE").unwrap_or_default();
-    match engine.as_str() {
-        "1" | "only" => return vec![run_engine(ctx)],
-        "" | "0" | "off" | "on" => {}
-        other => panic!("RP_ENGINE={other:?} is not one of 1/only/on/off/0"),
-    }
-    let mode = std::env::var("RP_COALITION").unwrap_or_default();
-    let mut tables = match mode.as_str() {
-        "only" => vec![run_coalition(ctx)],
-        "off" => vec![run_presets(ctx)],
-        "" | "on" => vec![run_presets(ctx), run_coalition(ctx)],
-        other => panic!("RP_COALITION={other:?} is not one of only/off/on"),
-    };
-    if matches!(domains.as_str(), "" | "on") {
-        tables.push(run_domains(ctx));
-    }
-    if matches!(engine.as_str(), "" | "on") {
-        tables.push(run_engine(ctx));
-    }
-    tables
+    let runners: [fn(&ExpContext) -> Table; 4] =
+        [run_presets, run_coalition, run_domains, run_engine];
+    let selected = battery_selection(std::env::var("RP_BATTERY").ok().as_deref());
+    runners
+        .iter()
+        .zip(selected)
+        .filter(|&(_, on)| on)
+        .map(|(run, _)| run(ctx))
+        .collect()
 }
 
 /// The failure-domain battery at sizes whose outage edges land exactly on
@@ -1199,6 +1202,31 @@ fn verdict(report: &SweepReport, json_path: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn battery_selector_keeps_the_fixed_table_order() {
+        assert_eq!(battery_selection(None), [true; 4]);
+        assert_eq!(
+            battery_selection(Some("coalition")),
+            [false, true, false, false]
+        );
+        assert_eq!(
+            battery_selection(Some("engine,presets,engine")),
+            [true, false, false, true]
+        );
+        assert_eq!(
+            battery_selection(Some("presets,coalition,domains,engine")),
+            [true; 4]
+        );
+    }
+
+    #[test]
+    fn battery_selector_rejects_unknown_and_empty_names() {
+        for raw in ["", "coalition,", "only", "Presets", "presets, engine"] {
+            let got = std::panic::catch_unwind(|| battery_selection(Some(raw)));
+            assert!(got.is_err(), "RP_BATTERY={raw:?} must panic");
+        }
+    }
 
     #[test]
     fn quick_battery_holds() {

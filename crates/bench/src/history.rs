@@ -11,12 +11,13 @@
 //! ]
 //! ```
 //!
-//! [`append_entry`] reads the existing file, migrates a legacy flat-row
-//! array in place (wrapped as a single `"pre-history"` entry), drops any
-//! prior entry with the *same* sha (re-running a bench on one revision
-//! updates that revision's point instead of duplicating it), and appends
-//! the new entry. The key comes from the environment so CI can stamp real
-//! revisions — `RP_BENCH_SHA` (default `"worktree"` for local runs) and
+//! [`append_entry`] reads the existing file, drops any prior entry with
+//! the *same* sha (re-running a bench on one revision updates that
+//! revision's point instead of duplicating it), and appends the new
+//! entry. An array whose elements are not all entries (such as the old
+//! flat-row layout) is an error and the file is left untouched. The key
+//! comes from the environment so CI can stamp real revisions —
+//! `RP_BENCH_SHA` (default `"worktree"` for local runs) and
 //! `RP_BENCH_TIME` (default: unix seconds at write time). `exp -- report`
 //! diffs the latest entries of two such files (see `apps::report`).
 
@@ -30,8 +31,6 @@ pub const SHA_ENV: &str = "RP_BENCH_SHA";
 pub const TIME_ENV: &str = "RP_BENCH_TIME";
 /// Sha recorded when the environment does not provide one.
 pub const WORKTREE_SHA: &str = "worktree";
-/// Sha assigned to rows migrated from a legacy flat-row file.
-pub const PRE_HISTORY_SHA: &str = "pre-history";
 
 /// The revision key for a new entry: `RP_BENCH_SHA` or `"worktree"`.
 fn entry_sha() -> String {
@@ -48,36 +47,29 @@ fn entry_timestamp() -> String {
     })
 }
 
-/// Existing entries of `contents`, migrating legacy layouts.
+/// Existing entries of `contents`.
 ///
 /// A parse failure or non-array document yields an empty history (the
-/// file is regenerated rather than clobbering the run); an array of flat
-/// rows (no `"rows"` key) becomes one [`PRE_HISTORY_SHA`] entry.
-fn existing_entries(contents: &str) -> Vec<Value> {
+/// file is regenerated rather than clobbering the run); an array with an
+/// element that is not a `{"sha", "timestamp", "rows"}` entry is an error.
+fn existing_entries(contents: &str) -> Result<Vec<Value>, String> {
     let Ok(value) = serde_json::from_str::<Value>(contents) else {
-        return Vec::new();
+        return Ok(Vec::new());
     };
     let Some(elements) = value.as_seq() else {
-        return Vec::new();
+        return Ok(Vec::new());
     };
-    if elements.is_empty() {
-        return Vec::new();
+    if elements.iter().any(|e| e.get("rows").is_none()) {
+        return Err("not a bench history: an element has no \"rows\" key".to_string());
     }
-    if elements.iter().all(|e| e.get("rows").is_some()) {
-        return elements.to_vec();
-    }
-    vec![Value::Map(vec![
-        ("sha".to_string(), Value::Str(PRE_HISTORY_SHA.to_string())),
-        ("timestamp".to_string(), Value::Str("0".to_string())),
-        ("rows".to_string(), Value::Seq(elements.to_vec())),
-    ])]
+    Ok(elements.to_vec())
 }
 
 /// Appends one history entry holding `rows` (each a JSON object string)
 /// to the trajectory file at `path`, returning the sha it was keyed by.
 ///
-/// Reads and migrates the existing file, dedupes on the entry's sha, and
-/// rewrites the whole array. Errors are returned as strings so bench
+/// Reads the existing file, dedupes on the entry's sha, and rewrites the
+/// whole array. Errors are returned as strings so bench
 /// binaries can log-and-continue (a read-only checkout must not fail the
 /// measurement itself).
 pub fn append_entry(path: &Path, rows: &[String]) -> Result<String, String> {
@@ -90,7 +82,8 @@ pub fn append_entry(path: &Path, rows: &[String]) -> Result<String, String> {
         .collect::<Result<_, _>>()?;
     let sha = entry_sha();
     let mut entries: Vec<Value> = match std::fs::read_to_string(path) {
-        Ok(contents) => existing_entries(&contents),
+        Ok(contents) => existing_entries(&contents)
+            .map_err(|e| format!("{}: {e}; file left untouched", path.display()))?,
         Err(_) => Vec::new(),
     };
     entries.retain(|e| e.get("sha").and_then(Value::as_str) != Some(sha.as_str()));
@@ -127,18 +120,14 @@ mod tests {
     }
 
     #[test]
-    fn legacy_file_is_migrated_then_appended() {
-        let path = tmp("legacy.json");
-        std::fs::write(&path, r#"[{"bench": "x", "n": 10, "v": 1.5}]"#).unwrap();
-        append_entry(&path, &[r#"{"bench": "x", "n": 10, "v": 2.0}"#.to_string()]).unwrap();
-        assert_eq!(shas(&path), vec![PRE_HISTORY_SHA, WORKTREE_SHA]);
-        // Legacy rows survive the migration verbatim.
-        let value: Value = serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        let first_rows = value.as_seq().unwrap()[0].get("rows").unwrap();
-        assert_eq!(
-            first_rows.as_seq().unwrap()[0].get("v"),
-            Some(&Value::Float(1.5))
-        );
+    fn flat_row_file_is_an_error_and_left_untouched() {
+        let path = tmp("flat.json");
+        let flat = r#"[{"bench": "x", "n": 10, "v": 1.5}]"#;
+        std::fs::write(&path, flat).unwrap();
+        let err =
+            append_entry(&path, &[r#"{"bench": "x", "n": 10, "v": 2.0}"#.to_string()]).unwrap_err();
+        assert!(err.contains("not a bench history"), "{err}");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), flat);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! [`experiments`]); this library provides the plumbing: deterministic
 //! seed management, aligned/markdown table rendering, and JSON result
 //! records so tables can be diffed across runs. Environment knobs
-//! (`RP_QUICK`, `RP_SEED`, `RP_SCALE`, `RP_COALITION`,
+//! (`RP_QUICK`, `RP_SEED`, `RP_SCALE`, `RP_BATTERY`,
 //! `RP_ENFORCE_BENCH`) are documented in the top-level README.
 
 #![forbid(unsafe_code)]

@@ -745,6 +745,189 @@ mod tests {
         assert!(per_node < 150.0, "bytes/node {per_node}");
     }
 
+    /// The pre-arena per-node representation, as plain columns: the model
+    /// `RoutingArena` must agree with after every write.
+    struct Model {
+        points: Vec<Point>,
+        alive: Vec<bool>,
+        preds: Vec<Option<NodeId>>,
+        succs: Vec<Vec<NodeId>>,
+        fingers: Vec<Vec<Option<NodeId>>>,
+    }
+
+    impl Model {
+        fn push(&mut self, bits: usize, point: Point) {
+            self.points.push(point);
+            self.alive.push(true);
+            self.preds.push(None);
+            self.succs.push(Vec::new());
+            self.fingers.push(vec![None; bits]);
+        }
+
+        fn assert_matches(&self, a: &RoutingArena, step: usize) {
+            assert_eq!(a.len(), self.points.len(), "step {step}: length");
+            for i in 0..a.len() {
+                let view = NodeRef::new(a, i);
+                assert_eq!(view.point(), self.points[i], "step {step}: n{i} point");
+                assert_eq!(view.is_alive(), self.alive[i], "step {step}: n{i} alive");
+                assert_eq!(view.predecessor(), self.preds[i], "step {step}: n{i} pred");
+                assert!(
+                    view.successors() == self.succs[i][..],
+                    "step {step}: n{i} successors {:?} vs {:?}",
+                    view.successors(),
+                    self.succs[i]
+                );
+                let fingers = view.fingers();
+                for (bit, &want) in self.fingers[i].iter().enumerate() {
+                    assert_eq!(fingers.get(bit), want, "step {step}: n{i} finger {bit}");
+                }
+            }
+        }
+    }
+
+    /// What a model run saw of the finger store's span management.
+    #[derive(Default)]
+    struct SpanEvents {
+        relocations: usize,
+        compactions: usize,
+    }
+
+    /// Applies `ops` to a fresh arena and to the plain-column model,
+    /// asserting they agree after every op. Each op is `(kind, a, b)`:
+    /// `kind` picks the write, `a` the node, and `b` seeds its arguments.
+    fn run_model(bits: usize, ops: &[(u8, u64, u64)]) -> SpanEvents {
+        const SUCC_CAP: usize = 4;
+        const MAX_NODES: usize = 16;
+        let mut a = RoutingArena::new(bits, SUCC_CAP);
+        let mut m = Model {
+            points: Vec::new(),
+            alive: Vec::new(),
+            preds: Vec::new(),
+            succs: Vec::new(),
+            fingers: Vec::new(),
+        };
+        let mut events = SpanEvents::default();
+        for i in 0..4 {
+            a.push(Point::new(i));
+            m.push(bits, Point::new(i));
+        }
+        for (step, &(kind, pick, seed)) in ops.iter().enumerate() {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let i = pick as usize % a.len();
+            // Few distinct ids, so finger runs both split and merge.
+            let id = |rng: &mut rand::rngs::StdRng| {
+                let v = rng.gen_range(0..6usize);
+                (v < 5).then_some(v % a.len())
+            };
+            let garbage = a.finger_garbage;
+            let mut finger_write = false;
+            match kind % 9 {
+                0 if a.len() < MAX_NODES => {
+                    let point = Point::new(seed);
+                    assert_eq!(a.push(point), m.points.len());
+                    m.push(bits, point);
+                }
+                0 | 1 => {
+                    // Up to SUCC_CAP + 3 entries: longer lists truncate.
+                    let list: Vec<NodeId> = (0..rng.gen_range(0..=SUCC_CAP + 3))
+                        .map(|_| NodeId::from_index(rng.gen_range(0..a.len())))
+                        .collect();
+                    a.set_successors(i, &list);
+                    assert!(a.successors_eq(i, &list), "step {step}");
+                    m.succs[i] = list[..list.len().min(SUCC_CAP)].to_vec();
+                }
+                2 => {
+                    let pred = id(&mut rng);
+                    a.set_pred(i, pred);
+                    m.preds[i] = pred.map(NodeId::from_index);
+                }
+                3..=5 => {
+                    let bit = rng.gen_range(0..bits);
+                    let val = id(&mut rng);
+                    let want = val.map(NodeId::from_index);
+                    let changed = a.set_finger(i, bit, val);
+                    assert_eq!(changed, m.fingers[i][bit] != want, "step {step}");
+                    m.fingers[i][bit] = want;
+                    finger_write = true;
+                }
+                6 => {
+                    // A canonical run list: starts strictly increasing
+                    // from 0, adjacent values distinct.
+                    let mut starts = vec![0u8];
+                    starts.extend(
+                        (1..bits)
+                            .filter(|_| rng.gen_range(0..3) == 0)
+                            .map(|b| b as u8),
+                    );
+                    let mut vals: Vec<u32> = Vec::with_capacity(starts.len());
+                    for _ in 0..starts.len() {
+                        let v = loop {
+                            let v = encode(id(&mut rng));
+                            if vals.last() != Some(&v) {
+                                break v;
+                            }
+                        };
+                        vals.push(v);
+                    }
+                    a.set_finger_runs(i, &starts, &vals);
+                    for (run, &start) in starts.iter().enumerate() {
+                        let end = starts.get(run + 1).map_or(bits, |&e| e as usize);
+                        for f in &mut m.fingers[i][start as usize..end] {
+                            *f = decode(vals[run]).map(NodeId::from_index);
+                        }
+                    }
+                    finger_write = true;
+                }
+                7 => {
+                    a.clear_fingers(i);
+                    m.fingers[i].fill(None);
+                }
+                _ => {
+                    let alive = rng.gen_range(0..2) == 0;
+                    a.set_alive(i, alive);
+                    m.alive[i] = alive;
+                }
+            }
+            // Relocation abandons the old span (garbage grows on a write);
+            // only compaction ever shrinks the garbage count.
+            if finger_write && a.finger_garbage > garbage {
+                events.relocations += 1;
+            }
+            if a.finger_garbage < garbage {
+                events.compactions += 1;
+            }
+            m.assert_matches(&a, step);
+        }
+        events
+    }
+
+    /// Op scripts long enough for the shared finger buffer to pass the
+    /// 4096-slot compaction floor: an 8-bit span holds at most 8 slots, so
+    /// the narrow table needs more relocations to get there.
+    fn ops_strategy(
+        len: std::ops::Range<usize>,
+    ) -> impl proptest::strategy::Strategy<Value = Vec<(u8, u64, u64)>> {
+        proptest::collection::vec((0u8..9, 0u64..1 << 32, 0u64..u64::MAX), len)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(6))]
+
+        #[test]
+        fn compact_views_equal_plain_columns_64_bit(ops in ops_strategy(4_000..4_500)) {
+            let events = run_model(64, &ops);
+            assert!(events.relocations > 0, "no span relocated");
+            assert!(events.compactions > 0, "finger store never compacted");
+        }
+
+        #[test]
+        fn compact_views_equal_plain_columns_8_bit(ops in ops_strategy(16_000..18_000)) {
+            let events = run_model(8, &ops);
+            assert!(events.relocations > 0, "no span relocated");
+            assert!(events.compactions > 0, "finger store never compacted");
+        }
+    }
+
     #[test]
     fn display_mentions_liveness() {
         let mut a = arena(4);

@@ -70,7 +70,6 @@ mod maintenance;
 mod multimap;
 mod network;
 pub mod score;
-mod shadow;
 mod storage;
 pub mod watchdog;
 

@@ -11,7 +11,6 @@ use crate::arena::{NodeRef, RoutingArena};
 use crate::maintenance::{DirtySet, MaintenanceBudget, MaintenanceWork};
 use crate::multimap::CompactMultiMap;
 use crate::score::{AdaptiveConfig, PeerScores, RetryPolicy};
-use crate::shadow::Shadow;
 use crate::ChordConfig;
 
 /// Sentinel for "no node" in the ledger's flat `u32` columns (mirrors the
@@ -196,9 +195,6 @@ pub struct ChordNetwork {
     /// what [`batched_maintenance_round`](ChordNetwork::batched_maintenance_round)
     /// spends its budget on.
     dirty: DirtySet,
-    /// Optional mirror of the pre-arena per-node representation, for
-    /// equivalence tests and memory benchmarks. See `crate::shadow`.
-    shadow: Option<Box<Shadow>>,
     /// Adaptive per-peer responsiveness scores (see `crate::score`),
     /// `None` until [`enable_adaptive_routing`]. Behind a `RefCell`
     /// because lookups take `&self` yet must fold probe outcomes in;
@@ -214,8 +210,8 @@ pub struct ChordNetwork {
 /// Pre-registered telemetry handles for every chord hot-path counter plus
 /// the lookup hop-count histogram, interned once per network at
 /// construction — hot-path events are single lock-free atomic adds, never
-/// per-event `String` allocation or registry lookups (the legacy
-/// [`Metrics`] string API remains as a compat shim for cold paths).
+/// per-event `String` allocation or registry lookups ([`Metrics`] keeps
+/// only the by-name reads).
 #[derive(Debug, Clone, Copy)]
 pub struct ChordCounters {
     /// `bulk_join.nodes` — nodes created by [`ChordNetwork::bulk_join`].
@@ -337,7 +333,6 @@ impl ChordNetwork {
             live_set: Vec::new(),
             ledger: Ledger::new(),
             dirty: DirtySet::new(),
-            shadow: None,
             scores: None,
             retry: None,
         }
@@ -369,14 +364,7 @@ impl ChordNetwork {
     /// bit), so the whole rebuild does O(log n) binary searches per node
     /// rather than one per finger bit — the difference between seconds
     /// and minutes at n = 10⁶.
-    pub fn bulk_join(&mut self, points: Vec<Point>) -> Vec<NodeId> {
-        let scope = self.metrics.recorder().begin_scope();
-        let created = self.bulk_join_inner(points);
-        self.metrics.recorder().end_scope("bulk_join", scope);
-        created
-    }
-
-    fn bulk_join_inner(&mut self, mut points: Vec<Point>) -> Vec<NodeId> {
+    pub fn bulk_join(&mut self, mut points: Vec<Point>) -> Vec<NodeId> {
         points.sort_unstable();
         points.dedup();
         let mut created = Vec::with_capacity(points.len());
@@ -433,18 +421,6 @@ impl ChordNetwork {
             self.arena.set_successors(id.0, &succs);
             self.arena.set_pred(id.0, Some(pred.0));
             self.arena.set_finger_runs(id.0, &run_starts, &run_vals);
-            // Mirror decodes through the one tested run decoder instead
-            // of re-expanding the runs by hand.
-            let fingers = self
-                .shadow
-                .is_some()
-                .then(|| self.node(id).fingers().to_vec());
-            if let (Some(sh), Some(fingers)) = (&mut self.shadow, fingers) {
-                let node = &mut sh.nodes[id.0];
-                node.successors = succs.clone();
-                node.predecessor = Some(pred);
-                node.fingers = fingers;
-            }
         }
         self.rebuild_ledger_converged(&order);
         created
@@ -619,63 +595,6 @@ impl ChordNetwork {
         self.scores.as_ref().map_or(0, |s| s.borrow().bytes())
     }
 
-    /// Starts mirroring every routing write into the pre-arena per-node
-    /// representation (see `crate::shadow`), backfilling current state.
-    /// Diagnostic-only: enables [`assert_shadow_matches`] and
-    /// [`shadow_routing_bytes`].
-    ///
-    /// [`assert_shadow_matches`]: ChordNetwork::assert_shadow_matches
-    /// [`shadow_routing_bytes`]: ChordNetwork::shadow_routing_bytes
-    pub fn enable_shadow_mirror(&mut self) {
-        let mut sh = Shadow::new(self.finger_bits);
-        for i in 0..self.arena.len() {
-            sh.push(self.arena.point(i));
-            let view = self.node(NodeId(i));
-            let node = &mut sh.nodes[i];
-            node.alive = view.is_alive();
-            node.predecessor = view.predecessor();
-            node.successors = view.successors().to_vec();
-            node.fingers = view.fingers().to_vec();
-        }
-        self.shadow = Some(Box::new(sh));
-    }
-
-    /// Live routing bytes of the mirrored legacy representation, if the
-    /// mirror is enabled — the measured baseline for the arena's
-    /// bytes/node ratio.
-    pub fn shadow_routing_bytes(&self) -> Option<usize> {
-        self.shadow.as_ref().map(|sh| sh.routing_bytes())
-    }
-
-    /// Asserts the arena views are bit-for-bit equal to the mirrored
-    /// legacy representation, node by node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the mirror is disabled or any node diverges.
-    pub fn assert_shadow_matches(&self) {
-        let sh = self
-            .shadow
-            .as_ref()
-            .expect("shadow mirror not enabled; call enable_shadow_mirror() first");
-        assert_eq!(sh.nodes.len(), self.arena.len(), "arena length");
-        for (i, legacy) in sh.nodes.iter().enumerate() {
-            let view = self.node(NodeId(i));
-            assert_eq!(legacy.point, view.point(), "n{i} point");
-            assert_eq!(legacy.alive, view.is_alive(), "n{i} alive");
-            assert_eq!(legacy.predecessor, view.predecessor(), "n{i} predecessor");
-            assert!(
-                view.successors() == legacy.successors[..],
-                "n{i} successors: arena {:?} vs legacy {:?}",
-                view.successors(),
-                legacy.successors
-            );
-            for (bit, &f) in legacy.fingers.iter().enumerate() {
-                assert_eq!(f, view.fingers().get(bit), "n{i} finger bit {bit}");
-            }
-        }
-    }
-
     /// The point `2^bit` clockwise of `origin` — finger `bit`'s target.
     pub fn finger_target(&self, origin: Point, bit: usize) -> Point {
         let offset = (1u128 << bit) % self.space.modulus();
@@ -720,8 +639,8 @@ impl ChordNetwork {
     }
 
     // ---- write funnels: every routing mutation flows through one of
-    // these so the arena, the optional shadow mirror and the incremental
-    // verification ledger stay in lockstep.
+    // these so the arena and the incremental verification ledger stay in
+    // lockstep.
 
     fn push_node(&mut self, point: Point) -> NodeId {
         assert!(
@@ -731,9 +650,6 @@ impl ChordNetwork {
         let i = self.arena.push(point);
         self.ledger.push();
         self.dirty.push_node(i);
-        if let Some(sh) = &mut self.shadow {
-            sh.push(point);
-        }
         NodeId(i)
     }
 
@@ -742,12 +658,6 @@ impl ChordNetwork {
             return;
         }
         self.arena.set_successors(id.0, list);
-        if self.shadow.is_some() {
-            let stored: Vec<NodeId> = self.node(id).successors().to_vec();
-            if let Some(sh) = &mut self.shadow {
-                sh.nodes[id.0].successors = stored;
-            }
-        }
         // recompute_sp refreshes the derived-successor reverse index.
         self.recompute_sp(id.0);
         // A changed list invalidates the copies its upstream holders
@@ -772,17 +682,11 @@ impl ChordNetwork {
         if let Some(p) = pred {
             self.ledger.pred_watch.insert(p.0 as u32, id.0 as u32);
         }
-        if let Some(sh) = &mut self.shadow {
-            sh.nodes[id.0].predecessor = pred;
-        }
         self.recompute_sp(id.0);
     }
 
     fn write_finger(&mut self, id: NodeId, bit: usize, val: Option<NodeId>) {
         if self.arena.set_finger(id.0, bit, val.map(|v| v.0)) {
-            if let Some(sh) = &mut self.shadow {
-                sh.nodes[id.0].fingers[bit] = val;
-            }
             self.recompute_finger(id.0, bit);
         }
     }
@@ -796,11 +700,6 @@ impl ChordNetwork {
         l.fpop[id.0] = 0;
         l.fok[id.0] = 0;
         self.arena.clear_fingers(id.0);
-        if let Some(sh) = &mut self.shadow {
-            for f in &mut sh.nodes[id.0].fingers {
-                *f = None;
-            }
-        }
     }
 
     /// Re-evaluates node `i`'s successor/predecessor correctness, folds
@@ -1111,9 +1010,6 @@ impl ChordNetwork {
             self.live_set.remove(at);
         }
         self.arena.set_alive(id.0, false);
-        if let Some(sh) = &mut self.shadow {
-            sh.nodes[id.0].alive = false;
-        }
         // The dead owe no maintenance.
         self.dirty.clear_node(id.0);
         self.recompute_sp(id.0);
@@ -1420,7 +1316,6 @@ impl ChordNetwork {
         budget: MaintenanceBudget,
         rng: &mut R,
     ) -> MaintenanceWork {
-        let scope = self.metrics.recorder().begin_scope();
         let mut work = MaintenanceWork::default();
         let mut remaining = budget.limit();
         let snapshot = self.dirty.queue_len();
@@ -1478,9 +1373,6 @@ impl ChordNetwork {
                 .profiler()
                 .add(self.counters.span_maintenance_repair, repairs);
         }
-        self.metrics
-            .recorder()
-            .end_scope("maintenance.round", scope);
         work
     }
 
@@ -2040,37 +1932,13 @@ mod tests {
     }
 
     #[test]
-    fn routing_bytes_are_a_fraction_of_the_legacy_representation() {
-        let mut net = bootstrap(512, 23);
-        net.enable_shadow_mirror();
-        net.assert_shadow_matches();
-        let compact = net.routing_bytes();
-        let legacy = net.shadow_routing_bytes().unwrap();
-        let ratio = legacy as f64 / compact as f64;
-        assert!(
-            ratio >= 8.0,
-            "memory ratio {ratio:.1} (compact {compact}, legacy {legacy})"
-        );
+    fn routing_bytes_stay_within_the_per_node_budget() {
+        // 146 B/node is `chord_scale`'s ROUTING_BYTES_BUDGET: an eighth of
+        // the ~1168 B/node of the pre-arena per-node records.
+        let net = bootstrap(512, 23);
+        let per_node = net.routing_bytes() as f64 / net.live_len() as f64;
+        assert!(per_node <= 146.0, "routing bytes/node {per_node:.1}");
         assert!(net.verifier_bytes() > 0);
-    }
-
-    #[test]
-    fn shadow_mirror_tracks_protocol_churn() {
-        let mut net = bootstrap(40, 24);
-        net.enable_shadow_mirror();
-        let mut r = rng();
-        for round in 0..6 {
-            let victim = net.live_ids()[round * 3 % net.live_len()];
-            net.crash(victim);
-            let gw = net.live_ids()[0];
-            let p = net.space().random_point(&mut r);
-            net.join(p, gw, &mut r).unwrap();
-            net.maintenance_round(round, &mut r);
-            net.assert_shadow_matches();
-        }
-        let leaver = net.live_ids()[1];
-        net.leave(leaver);
-        net.assert_shadow_matches();
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! [`ChordNetwork::verify_ring_sampled`]-style sampling, evaluates the
 //! SLO rules in [`SloConfig`], and emits edge-triggered [`HealthEvent`]s
 //! — one breach edge when a rule first fails, one recovery edge when it
-//! next holds — attributed to the offending nodes and the cost scope the
-//! rule observes. Events mirror into the network recorder's health log
+//! next holds — attributed to the offending nodes and the operation class
+//! the rule observes. Events mirror into the network recorder's health log
 //! ([`telemetry::Recorder::push_health`]) so breach dumps travel with the
 //! flight traces.
 //!
@@ -68,7 +68,7 @@ impl SloRule {
         }
     }
 
-    /// The cost-attribution scope label this rule observes.
+    /// The label of the operation class this rule observes.
     pub fn scope(self) -> &'static str {
         match self {
             SloRule::HopTail => "lookup",

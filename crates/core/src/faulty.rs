@@ -1,11 +1,11 @@
-//! Deterministic fault injection for DHT backends.
+//! Deterministic fault injection for DHT backends (test-only).
 //!
 //! [`FaultyDht`] wraps any [`Dht`] and makes each operation fail with a
-//! configured probability, letting tests and experiments exercise the
-//! sampler's error paths (retry exhaustion, estimate failure, partial
-//! scans) without standing up a churning Chord network. Failures are
-//! drawn from a dedicated seeded RNG, so failure *schedules* are
-//! reproducible independent of the sampler's own randomness.
+//! configured probability, letting the unit tests exercise the sampler's
+//! and the estimator's [`DhtError`] paths (retry exhaustion, estimate
+//! failure, partial scans) without standing up a churning Chord network.
+//! Failures are drawn from a dedicated seeded RNG, so failure *schedules*
+//! are reproducible independent of the sampler's own randomness.
 
 use std::cell::RefCell;
 
@@ -16,21 +16,6 @@ use rand::{Rng, SeedableRng};
 use crate::{Dht, DhtError, Resolved};
 
 /// A wrapper injecting random operation failures into any DHT backend.
-///
-/// # Example
-///
-/// ```
-/// use keyspace::{KeySpace, SortedRing};
-/// use peer_sampling::{Dht, FaultyDht, OracleDht};
-/// use rand::SeedableRng;
-///
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-/// let space = KeySpace::full();
-/// let inner = OracleDht::new(SortedRing::new(space, space.random_points(&mut rng, 50)));
-/// // Every operation fails.
-/// let broken = FaultyDht::new(inner, 1.0, 9);
-/// assert!(broken.h(space.random_point(&mut rng)).is_err());
-/// ```
 #[derive(Debug)]
 pub struct FaultyDht<D> {
     inner: D,

@@ -54,21 +54,19 @@
 pub mod assignment;
 pub mod weighted;
 
-mod batch;
 mod config;
 mod cost;
 mod dht;
 mod estimate;
+#[cfg(test)]
 mod faulty;
 mod oracle;
 mod sampler;
 pub mod theory;
 
-pub use batch::{Batch, DistinctBatch, DistinctError};
 pub use config::{ConfigError, SamplerConfig, DEFAULT_LAMBDA_DENOMINATOR};
 pub use cost::Cost;
 pub use dht::{Dht, DhtError, Resolved};
 pub use estimate::{Estimate, NetworkSizeEstimator, ESTIMATE_GAMMA_LOWER, ESTIMATE_GAMMA_UPPER};
-pub use faulty::FaultyDht;
 pub use oracle::OracleDht;
 pub use sampler::{Sample, SampleError, Sampler, TrialOutcome};

@@ -14,9 +14,6 @@
 //!   record its full hop path (node, finger level, forged/honest, per-hop
 //!   latency) into a bounded ring buffer, gated by a single relaxed
 //!   atomic-bool check when disabled.
-//! * [`ScopeToken`] cost attribution — label a region (a defended draw, a
-//!   maintenance drain round, a `bulk_join`) and get the counter deltas it
-//!   caused, instead of one global counter soup.
 //! * [`WindowSnapshot`] / [`TimeSeries`] — longitudinal view: closing an
 //!   observation window ([`Recorder::reset_window`]) yields per-window
 //!   counter *deltas* (computed per slot, so zero-skipping snapshots can
@@ -24,8 +21,8 @@
 //!   ring keeps the recent history for breach dumps, and merging all
 //!   windows reproduces the whole-run histogram within bucketing error.
 //! * [`HealthEventRecord`] — attributed SLO breach/recovery events pushed
-//!   by the `chord` watchdog (rule, window, bound, offending nodes,
-//!   cost-attribution scope).
+//!   by the `chord` watchdog (rule, window, bound, offending nodes, and
+//!   the label of the operation class the rule observes).
 //! * [`TraceDump`] exporters — deterministic pretty text and Chrome
 //!   `trace_event` JSON (load in `chrome://tracing` or Perfetto), plus an
 //!   FNV-1a digest over the full trace stream for byte-stable record
@@ -48,13 +45,10 @@
 //! let r = Recorder::new();
 //! let hops = r.counter("lookup.hops");
 //! let hist = r.histogram("lookup.hops");
-//! let scope = r.begin_scope();
 //! r.add(hops, 3);
 //! r.record(hist, 3);
-//! r.end_scope("draw", scope);
 //! assert_eq!(r.counter_value(hops), 3);
 //! assert_eq!(r.histogram_snapshot(hist).max(), 3);
-//! assert_eq!(r.scope_breakdown()["draw"].counters["lookup.hops"], 3);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -66,6 +60,6 @@ mod timeseries;
 mod trace;
 
 pub use profiler::{SpanId, SpanProfiler, SpanTotal};
-pub use recorder::{CounterId, HistogramId, Recorder, ScopeBreakdown, ScopeToken};
+pub use recorder::{CounterId, HistogramId, Recorder};
 pub use timeseries::{HealthEventRecord, TimeSeries, WindowSnapshot};
 pub use trace::{FallbackTier, HopRecord, LookupTrace, TraceDump, TraceOutcome};

@@ -58,7 +58,7 @@ impl WindowSnapshot {
 
 /// One attributed health event as stored in the recorder's flight log:
 /// which SLO rule fired, in which window, against which bound, and which
-/// nodes / cost-attribution scope the breach is pinned on. The typed
+/// nodes / operation class the breach is pinned on. The typed
 /// rule lives in the `chord` watchdog; telemetry stores the rendered
 /// form so the crate stays dependency-free.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,7 +73,7 @@ pub struct HealthEventRecord {
     pub measured: f64,
     /// The bound in force when the rule was evaluated.
     pub bound: f64,
-    /// Cost-attribution scope label the rule observes
+    /// Label of the operation class the rule observes
     /// (e.g. `"maintenance.round"`, `"draw.defended"`).
     pub scope: String,
     /// Ring points of the sampled nodes that failed verification in this
