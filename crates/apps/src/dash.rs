@@ -27,7 +27,7 @@
 //! the input bytes — no clocks, no randomness, no map reordering — so the
 //! same report renders byte-identically forever.
 
-use crate::report::{diff_reports, ReportDiff};
+use crate::report::{diff_reports, kind_of, Kind, ReportDiff};
 use serde_json::Value;
 
 /// A rendered dashboard plus the regression verdict that should drive the
@@ -45,7 +45,8 @@ pub struct Dashboard {
 /// self-contained HTML dashboard, diffing against `baseline` when given.
 ///
 /// Errors mirror `exp -- report` usage errors: unparseable JSON, an
-/// unrecognized shape, or a baseline/report kind mismatch.
+/// unrecognized shape (a flat-row bench file included), or a
+/// baseline/report kind mismatch.
 pub fn render_dashboard(report: &str, baseline: Option<&str>) -> Result<Dashboard, String> {
     let value: Value =
         serde_json::from_str(report).map_err(|e| format!("report: unparseable JSON ({e})"))?;
@@ -54,16 +55,9 @@ pub fn render_dashboard(report: &str, baseline: Option<&str>) -> Result<Dashboar
         None => None,
     };
     let mut body = String::new();
-    if value.get("scenarios").is_some() {
-        render_sweep(&mut body, &value);
-    } else if value.as_seq().is_some() {
-        render_bench_trend(&mut body, &value);
-    } else {
-        return Err(format!(
-            "unrecognized report shape ({}): expected a sweep report object \
-             with \"scenarios\" or a bench history array",
-            value.kind()
-        ));
+    match kind_of(&value)? {
+        Kind::Sweep => render_sweep(&mut body, &value),
+        Kind::Bench => render_bench_trend(&mut body, &value)?,
     }
     if let Some(diff) = &diff {
         render_diff(&mut body, diff);
@@ -388,8 +382,9 @@ fn scenario_name(scenario: &Value) -> String {
 type BenchArm = ((String, String), Vec<(String, Vec<f64>)>);
 
 /// The bench-trajectory section: one sparkline per `(bench, n, metric)`
-/// across history entries, plus the latest entry's rows verbatim.
-fn render_bench_trend(out: &mut String, history: &Value) {
+/// across history entries, plus the latest entry's rows verbatim. An
+/// entry without a `rows` array (a flat-row file) is an error.
+fn render_bench_trend(out: &mut String, history: &Value) -> Result<(), String> {
     let entries = history.as_seq().unwrap_or(&[]);
     out.push_str(&format!(
         "<h2>bench history ({} entries)</h2>\n",
@@ -397,10 +392,10 @@ fn render_bench_trend(out: &mut String, history: &Value) {
     ));
     let mut arms: Vec<BenchArm> = Vec::new();
     for entry in entries {
-        let rows = match entry.get("rows").and_then(Value::as_seq) {
-            Some(rows) => rows,
-            // Legacy flat-row files: the entry *is* a row.
-            None => std::slice::from_ref(entry),
+        let Some(rows) = entry.get("rows").and_then(Value::as_seq) else {
+            return Err("report: not a bench history (an element is not a \
+                        {\"sha\", \"timestamp\", \"rows\"} entry)"
+                .to_string());
         };
         for row in rows {
             let bench = row
@@ -438,6 +433,7 @@ fn render_bench_trend(out: &mut String, history: &Value) {
             ));
         }
     }
+    Ok(())
 }
 
 /// The regression-diff section (baseline supplied).
@@ -574,6 +570,10 @@ mod tests {
     fn garbage_and_shape_errors_are_usage_errors() {
         assert!(render_dashboard("not json", None).is_err());
         assert!(render_dashboard(r#"{"neither": 1}"#, None).is_err());
+        // A flat-row history (rows as top-level elements) is not a bench
+        // history.
+        let flat = r#"[{"bench": "chord_scale", "n": 100000, "lookup_ns": 4000}]"#;
+        assert!(render_dashboard(flat, None).is_err());
         // Kind mismatch against the baseline propagates from the differ.
         let sweep = sweep_fixture();
         assert!(render_dashboard(&sweep, Some("[]")).is_err());

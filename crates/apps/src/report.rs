@@ -209,14 +209,15 @@ pub fn diff_reports(baseline: &str, candidate: &str) -> Result<ReportDiff, Strin
 
 /// Recognized report shapes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kind {
+pub(crate) enum Kind {
     /// An e16 `SweepReport` (object with a `scenarios` array).
     Sweep,
     /// A `BENCH_*.json` trajectory (array of history entries).
     Bench,
 }
 
-fn kind_of(v: &Value) -> Result<Kind, String> {
+/// The shape of a parsed report, or a usage error naming what it is.
+pub(crate) fn kind_of(v: &Value) -> Result<Kind, String> {
     if v.get("scenarios").is_some() {
         Ok(Kind::Sweep)
     } else if v.as_seq().is_some() {

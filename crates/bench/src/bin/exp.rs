@@ -6,6 +6,8 @@
 //! cargo run --release -p bench --bin exp -- --md all     # markdown output
 //! RP_QUICK=1 cargo run -p bench --bin exp -- all         # fast smoke run
 //! RP_SEED=42 cargo run --release -p bench --bin exp -- e5  # different seed
+//!                      # experiments exit 1 when any printed verdict
+//!                      # starts with CHECK or VIOLATED, 2 on an unknown id
 //!
 //! cargo run --release -p bench --bin exp -- report base.json cand.json
 //!                      # diff two e16 reports / BENCH_* trajectories;
@@ -139,12 +141,14 @@ fn main() {
         ids.iter().map(String::as_str).collect()
     };
 
-    let mut failed = false;
+    let mut unknown_id = false;
+    let mut verdicts = Vec::new();
     for id in selected {
         let started = std::time::Instant::now();
         match experiments::run(id, &ctx) {
             Some(tables) => {
                 for table in tables {
+                    verdicts.push(table.verdict.clone());
                     if markdown {
                         println!("{}", table.to_markdown());
                     } else {
@@ -155,11 +159,56 @@ fn main() {
             }
             None => {
                 eprintln!("unknown experiment id: {id}");
-                failed = true;
+                unknown_id = true;
             }
         }
     }
-    if failed {
-        std::process::exit(2);
+    std::process::exit(exit_code(unknown_id, &verdicts));
+}
+
+/// The run's exit status: 2 when an experiment id was unknown (a usage
+/// error), else 1 when any printed verdict starts with `CHECK` or
+/// `VIOLATED`, else 0.
+fn exit_code(unknown_id: bool, verdicts: &[String]) -> i32 {
+    if unknown_id {
+        2
+    } else if verdicts
+        .iter()
+        .any(|v| v.starts_with("CHECK") || v.starts_with("VIOLATED"))
+    {
+        1
+    } else {
+        0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::exit_code;
+
+    #[test]
+    fn exit_code_carries_the_verdicts() {
+        let v = |lines: &[&str]| lines.iter().map(|l| l.to_string()).collect::<Vec<_>>();
+        assert_eq!(exit_code(false, &[]), 0);
+        assert_eq!(
+            exit_code(
+                false,
+                &v(&["HOLDS: fine", "HOLDS EXACTLY: zero", "PARTIAL: x", ""])
+            ),
+            0
+        );
+        assert_eq!(
+            exit_code(false, &v(&["HOLDS: fine", "CHECK: 2 arms; flagged: x"])),
+            1
+        );
+        assert_eq!(exit_code(false, &v(&["VIOLATED: bound failure"])), 1);
+        // Only the leading word counts, not a flagged arm's wording.
+        assert_eq!(
+            exit_code(false, &v(&["HOLDS: replay DIVERGED? no; CHECK later"])),
+            0
+        );
+        // Usage errors outrank failed verdicts.
+        assert_eq!(exit_code(true, &v(&["CHECK: x"])), 2);
+        assert_eq!(exit_code(true, &[]), 2);
     }
 }

@@ -30,8 +30,8 @@
 
 use adversary::majority_capture_probability;
 use scenarios::{
-    run_scenario_seed_traced, Backend, BackendAggregate, MaintenanceSpec, ScenarioSpec, Sweep,
-    SweepReport, COMMITTEE_SIZE,
+    run_scenario_seed_traced, Backend, BackendAggregate, MaintenanceSpec, ScenarioReport,
+    ScenarioSpec, Sweep, SweepReport, COMMITTEE_SIZE,
 };
 
 use crate::{fmt_f, ExpContext, Table};
@@ -173,7 +173,7 @@ fn dump_flight_on_check(verdict: String, report: &SweepReport, file: &str) -> St
         spec.name,
         dump.pretty()
     );
-    let path = persist_named_report(&text, file);
+    let path = persist(&text, file);
     format!("{verdict}; flight -> {path}")
 }
 
@@ -261,112 +261,80 @@ const REFERENCE_ORACLE_N: usize = 100_000;
 /// The `RP_SCALE` run: both scale-stress arms, deterministically, with the
 /// JSON report under `target/`.
 fn run_scale(ctx: &ExpContext, oracle_n: usize) -> Table {
-    let report = Sweep::new(scale_battery())
-        .with_scale(oracle_n as f64 / REFERENCE_ORACLE_N as f64)
-        .with_master_seed(ctx.stream(16, 1))
-        .with_seeds(2)
-        .run();
-
-    let json = report.to_json_pretty();
-    let json_path = persist_named_report(&json, "e16_scale.json");
-
-    let mut table = Table::new(
-        format!("E16-scale: scale-stress at n = {oracle_n} (oracle and chord)"),
+    let (report, json_path) = sweep_to(
+        &Sweep::new(scale_battery())
+            .with_scale(oracle_n as f64 / REFERENCE_ORACLE_N as f64)
+            .with_master_seed(ctx.stream(16, 1))
+            .with_seeds(2),
+        "e16_scale.json",
+    );
+    let mut table = sweep_table(
+        &format!("E16-scale: scale-stress at n = {oracle_n} (oracle and chord)"),
         "compact routing arenas, bulk construction, incremental verification and batched \
          O(changes log n) maintenance carry 10^4-10^7-node rings through churn and \
          sampling deterministically",
+        &report,
         &[
-            "scenario",
-            "backend",
-            "n_initial",
-            "live",
-            "fail_rate",
-            "msgs/draw",
-            "hop_p99",
-            "draw_p99",
-            "tv",
-            "staleness",
-            "backlog",
-            "ttd",
-            "ttr",
+            ("scenario", |s, _| s.spec.name.clone()),
+            ("backend", |_, a| a.backend.clone()),
+            ("n_initial", |s, _| s.spec.n_initial.to_string()),
+            ("live", |_, a| fmt_f(a.live_peers_mean)),
+            ("fail_rate", |_, a| fmt_f(a.fail_rate_mean)),
+            ("msgs/draw", |_, a| fmt_f(a.messages_mean)),
+            ("hop_p99", |_, a| a.hop_p99_max.to_string()),
+            ("draw_p99", |_, a| a.draw_msgs_p99_max.to_string()),
+            ("tv", |_, a| fmt_f(a.tv_mean)),
+            ("staleness", |_, a| fmt_f(a.finger_staleness_mean)),
+            ("backlog", |_, a| fmt_f(a.maintenance_backlog_mean)),
+            ("ttd", |_, a| a.time_to_detect_max.to_string()),
+            ("ttr", |_, a| a.time_to_recover_min.to_string()),
         ],
     );
-    let mut ok = true;
-    let mut flagged = Vec::new();
-    for scenario in &report.scenarios {
-        for agg in &scenario.aggregates {
-            table.push_row(vec![
-                scenario.spec.name.clone(),
-                agg.backend.clone(),
-                scenario.spec.n_initial.to_string(),
-                fmt_f(agg.live_peers_mean),
-                fmt_f(agg.fail_rate_mean),
-                fmt_f(agg.messages_mean),
-                agg.hop_p99_max.to_string(),
-                agg.draw_msgs_p99_max.to_string(),
-                fmt_f(agg.tv_mean),
-                fmt_f(agg.finger_staleness_mean),
-                fmt_f(agg.maintenance_backlog_mean),
-                agg.time_to_detect_max.to_string(),
-                agg.time_to_recover_min.to_string(),
-            ]);
-            if let Some(violation) = hop_tail_violation(&scenario.spec.name, agg) {
-                ok = false;
-                flagged.push(violation);
-            }
-            if agg.fail_rate_mean > 0.05 {
-                ok = false;
-                flagged.push(format!(
-                    "{}:{} fail={:.3}",
-                    scenario.spec.name, agg.backend, agg.fail_rate_mean
-                ));
-            }
-            if agg.live_peers_mean < scenario.spec.n_initial as f64 * 0.5 {
-                ok = false;
-                flagged.push(format!(
-                    "{}:{} live collapsed to {:.0}",
-                    scenario.spec.name, agg.backend, agg.live_peers_mean
-                ));
-            }
-            // The drain cadence must keep the routed overlay essentially
-            // fresh: standing staleness above 5% of fingers means the
-            // batched maintenance stopped keeping up.
-            if agg.backend == "chord" && agg.finger_staleness_mean > 0.05 {
-                ok = false;
-                flagged.push(format!(
-                    "{}: staleness {:.3}",
-                    scenario.spec.name, agg.finger_staleness_mean
-                ));
-            }
-            // The batched arm must end every seed healthy: whatever the
-            // churn phase breached, the final drain rounds recover it
-            // before the run ends (ttr −1 = recovery unconfirmed).
-            if agg.backend == "chord" && agg.time_to_recover_min < 0 {
-                ok = false;
-                flagged.push(format!(
-                    "{}: unhealthy at run end (ttr {})",
-                    scenario.spec.name, agg.time_to_recover_min
-                ));
-            }
-        }
-    }
-    let verdict = format!(
-        "{}: 2 arms x {} seeds; json -> {}{}",
-        if ok { "HOLDS" } else { "CHECK" },
-        report.seeds_per_scenario,
-        json_path,
-        if flagged.is_empty() {
-            String::new()
-        } else {
-            format!("; flagged: {}", flagged.join(", "))
-        }
-    );
     table.set_verdict(dump_flight_on_check(
-        verdict,
+        scale_verdict(&report, &json_path),
         &report,
         "e16_scale_flight.txt",
     ));
     table
+}
+
+/// The scale-arm gates: a bounded hop tail, few failed draws and no
+/// population collapse on both arms, and a chord overlay that stays fresh
+/// and healthy under batched maintenance.
+fn scale_verdict(report: &SweepReport, json_path: &str) -> String {
+    let mut gates = Gates::default();
+    for scenario in &report.scenarios {
+        let name = &scenario.spec.name;
+        for agg in &scenario.aggregates {
+            let arm = format!("{name}:{}", agg.backend);
+            gates.flag(hop_tail_violation(name, agg));
+            gates.require(
+                agg.fail_rate_mean <= 0.05,
+                format!("{arm} fail={:.3}", agg.fail_rate_mean),
+            );
+            gates.require(
+                agg.live_peers_mean >= scenario.spec.n_initial as f64 * 0.5,
+                format!("{arm} live collapsed to {:.0}", agg.live_peers_mean),
+            );
+            if agg.backend == "chord" {
+                // The drain cadence must keep the routed overlay
+                // essentially fresh: standing staleness above 5% of
+                // fingers means the batched maintenance stopped keeping up.
+                gates.require(
+                    agg.finger_staleness_mean <= 0.05,
+                    format!("{name}: staleness {:.3}", agg.finger_staleness_mean),
+                );
+                // The batched arm must end every seed healthy: whatever the
+                // churn phase breached, the final drain rounds recover it
+                // before the run ends.
+                gates.recovers(name, agg.time_to_recover_min);
+            }
+        }
+    }
+    gates.verdict(
+        &format!("2 arms x {} seeds", report.seeds_per_scenario),
+        json_path,
+    )
 }
 
 /// The e16 batteries, in the fixed order their tables come out in.
@@ -443,61 +411,34 @@ fn domain_battery_specs(ctx: &ExpContext) -> Vec<ScenarioSpec> {
 /// chord-only, all undefended.
 fn run_domains(ctx: &ExpContext) -> Table {
     let seeds = if ctx.quick { 2 } else { 3 };
-    let report = Sweep::new(domain_battery_specs(ctx))
-        .with_master_seed(ctx.stream(16, 4))
-        .with_seeds(seeds)
-        .run();
-    let json = report.to_json_pretty();
-    let json_path = persist_named_report(&json, "e16_domains.json");
-
-    let mut table = Table::new(
+    let (report, json_path) = sweep_to(
+        &Sweep::new(domain_battery_specs(ctx))
+            .with_master_seed(ctx.stream(16, 4))
+            .with_seeds(seeds),
+        "e16_domains.json",
+    );
+    let mut table = sweep_table(
         "E16-domains: correlated domain outage vs adaptive routing (chord)",
         "a rack-sized correlated crash partitions plain routing; peer scoring plus \
          retry/fallback degradation holds lookup success through the outage at an \
          attributed extra cost, and the watchdog pins the breach on the failed domains",
+        &report,
         &[
-            "scenario",
-            "live",
-            "fail_rate",
-            "msgs/draw",
-            "latency",
-            "outage_ok_min",
-            "retries",
-            "fallbacks",
-            "dom_events",
-            "ttd",
-            "ttr",
+            ("scenario", |s, _| s.spec.name.clone()),
+            ("live", |_, a| fmt_f(a.live_peers_mean)),
+            ("fail_rate", |_, a| fmt_f(a.fail_rate_mean)),
+            ("msgs/draw", |_, a| fmt_f(a.messages_mean)),
+            ("latency", |_, a| fmt_f(a.latency_mean)),
+            ("outage_ok_min", |_, a| fmt_f(a.outage_success_ratio_min)),
+            ("retries", |_, a| counter(a, "lookup.retries").to_string()),
+            ("fallbacks", |_, a| {
+                counter(a, "lookup.fallback_depth").to_string()
+            }),
+            ("dom_events", |_, a| counter(a, "domain.events").to_string()),
+            ("ttd", |_, a| a.time_to_detect_max.to_string()),
+            ("ttr", |_, a| a.time_to_recover_min.to_string()),
         ],
     );
-    for scenario in &report.scenarios {
-        for agg in &scenario.aggregates {
-            table.push_row(vec![
-                scenario.spec.name.clone(),
-                fmt_f(agg.live_peers_mean),
-                fmt_f(agg.fail_rate_mean),
-                fmt_f(agg.messages_mean),
-                fmt_f(agg.latency_mean),
-                fmt_f(agg.outage_success_ratio_min),
-                agg.counters
-                    .get("lookup.retries")
-                    .copied()
-                    .unwrap_or(0)
-                    .to_string(),
-                agg.counters
-                    .get("lookup.fallback_depth")
-                    .copied()
-                    .unwrap_or(0)
-                    .to_string(),
-                agg.counters
-                    .get("domain.events")
-                    .copied()
-                    .unwrap_or(0)
-                    .to_string(),
-                agg.time_to_detect_max.to_string(),
-                agg.time_to_recover_min.to_string(),
-            ]);
-        }
-    }
     table.set_verdict(dump_flight_on_check(
         domains_verdict(&report, seeds, &json_path),
         &report,
@@ -512,102 +453,65 @@ fn run_domains(ctx: &ExpContext) -> Table {
 /// must detect the outage promptly and confirm recovery by run end, and
 /// the success/latency deltas vs the non-adaptive baseline are reported.
 fn domains_verdict(report: &SweepReport, seeds: u32, json_path: &str) -> String {
-    let agg = |name: &str| {
-        report
-            .scenarios
-            .iter()
-            .find(|s| s.spec.name == name)
-            .map(|s| &s.aggregates[0])
-    };
-    let mut checks = Vec::new();
-    let mut ok = true;
-    let (Some(base), Some(adaptive)) =
-        (agg("domain-outage-baseline"), agg("domain-outage-adaptive"))
-    else {
+    let (Some(base), Some(adaptive)) = (
+        first_arm(report, "domain-outage-baseline"),
+        first_arm(report, "domain-outage-adaptive"),
+    ) else {
         return format!("CHECK: battery arms missing; json -> {json_path}");
     };
+    let mut gates = Gates::default();
     // Same outage, same draws, on both comparison arms.
-    if base.outage_draws_sum == 0 || base.outage_draws_sum != adaptive.outage_draws_sum {
-        ok = false;
-        checks.push(format!(
+    gates.require(
+        base.outage_draws_sum != 0 && base.outage_draws_sum == adaptive.outage_draws_sum,
+        format!(
             "outage draws mismatch (baseline {}, adaptive {})",
             base.outage_draws_sum, adaptive.outage_draws_sum
-        ));
-    }
+        ),
+    );
     // The correlated crash must actually break plain routing...
-    if base.outage_success_ratio_mean >= 0.99 {
-        ok = false;
-        checks.push(format!(
+    gates.require(
+        base.outage_success_ratio_mean < 0.99,
+        format!(
             "baseline survived the outage unscathed ({:.4})",
             base.outage_success_ratio_mean
-        ));
-    }
+        ),
+    );
     // ...while the full adaptive arm holds the SLO on every seed.
-    if adaptive.outage_success_ratio_min < 0.99 {
-        ok = false;
-        checks.push(format!(
+    gates.require(
+        adaptive.outage_success_ratio_min >= 0.99,
+        format!(
             "adaptive arm broke the 99% during-outage SLO ({:.4})",
             adaptive.outage_success_ratio_min
-        ));
-    }
+        ),
+    );
     // Degradation is paid for and attributed, never free.
-    if adaptive
-        .counters
-        .get("lookup.retries")
-        .copied()
-        .unwrap_or(0)
-        == 0
-        || adaptive
-            .counters
-            .get("lookup.fallback_depth")
-            .copied()
-            .unwrap_or(0)
-            == 0
-    {
-        ok = false;
-        checks.push("adaptive arm shows no attributed retry/fallback cost".to_string());
-    }
+    gates.require(
+        counter(adaptive, "lookup.retries") != 0 && counter(adaptive, "lookup.fallback_depth") != 0,
+        "adaptive arm shows no attributed retry/fallback cost",
+    );
     for scenario in &report.scenarios {
-        let a = &scenario.aggregates[0];
-        let name = &scenario.spec.name;
+        let (name, a) = (&scenario.spec.name, &scenario.aggregates[0]);
         // Two transitions (crash, heal) over two domains, every seed.
-        let events = a.counters.get("domain.events").copied().unwrap_or(0);
-        if events != 4 * u64::from(seeds) {
-            ok = false;
-            checks.push(format!("{name}: domain.events {events} != {}", 4 * seeds));
-        }
+        let events = counter(a, "domain.events");
+        gates.require(
+            events == 4 * u64::from(seeds),
+            format!("{name}: domain.events {events} != {}", 4 * seeds),
+        );
         // The watchdog must flag the outage within 2 windows of the
-        // crash on every seed...
-        if !(0..=2).contains(&a.time_to_detect_max) {
-            ok = false;
-            checks.push(format!(
-                "{name}: ttd {} outside [0, 2]",
-                a.time_to_detect_max
-            ));
-        }
-        // ...and the heal must leave every seed healthy by run end.
-        if a.time_to_recover_min < 0 {
-            ok = false;
-            checks.push(format!(
-                "{name}: unhealthy at run end (ttr {})",
-                a.time_to_recover_min
-            ));
-        }
+        // crash on every seed, and the heal must leave every seed
+        // healthy by run end.
+        gates.detects(name, a.time_to_detect_max);
+        gates.recovers(name, a.time_to_recover_min);
     }
-    format!(
-        "{}: 4 arms x {seeds} seeds; outage success {:.3} -> {:.3}, \
-         latency/draw {:.1} -> {:.1}; json -> {}{}",
-        if ok { "HOLDS" } else { "CHECK" },
-        base.outage_success_ratio_mean,
-        adaptive.outage_success_ratio_mean,
-        base.latency_mean,
-        adaptive.latency_mean,
+    gates.verdict(
+        &format!(
+            "4 arms x {seeds} seeds; outage success {:.3} -> {:.3}, latency/draw {:.1} -> {:.1}",
+            base.outage_success_ratio_mean,
+            adaptive.outage_success_ratio_mean,
+            base.latency_mean,
+            adaptive.latency_mean,
+        ),
         json_path,
-        if checks.is_empty() {
-            String::new()
-        } else {
-            format!("; flagged: {}", checks.join(", "))
-        }
     )
 }
 
@@ -697,53 +601,30 @@ fn equivalence_violation(seed: u64) -> Option<String> {
 /// byte-identical sweep replay.
 fn run_engine(ctx: &ExpContext) -> Table {
     let seeds = if ctx.quick { 2 } else { 3 };
-    let specs = engine_battery_specs(ctx);
-    let master = ctx.stream(16, 5);
-    let report = Sweep::new(specs.clone())
-        .with_master_seed(master)
-        .with_seeds(seeds)
-        .run();
-    let replay = Sweep::new(specs)
-        .with_master_seed(master)
-        .with_seeds(seeds)
-        .run();
-    let json = report.to_json_pretty();
-    let replay_identical = json == replay.to_json_pretty();
-    let json_path = persist_named_report(&json, "e16_engine.json");
-
-    let mut table = Table::new(
+    let sweep = Sweep::new(engine_battery_specs(ctx))
+        .with_master_seed(ctx.stream(16, 5))
+        .with_seeds(seeds);
+    let (report, json_path) = sweep_to(&sweep, "e16_engine.json");
+    let replay_identical = sweep.run().to_json_pretty() == report.to_json_pretty();
+    let mut table = sweep_table(
         "E16-engine: async in-flight lookups vs a slow domain (chord)",
         "thousands of lookups in flight over one deterministic event loop; a \
          latency-skewed sector breaches the in-flight-age SLO within 2 windows, \
          deadlines+retries pay attributed timeouts, and the whole battery replays \
          byte-identically",
+        &report,
         &[
-            "scenario",
-            "live",
-            "lookups",
-            "done",
-            "timeouts",
-            "age_p999",
-            "age_p999_max",
-            "ttd",
-            "ttr",
+            ("scenario", |s, _| s.spec.name.clone()),
+            ("live", |_, a| fmt_f(a.live_peers_mean)),
+            ("lookups", |_, a| a.engine_lookups_sum.to_string()),
+            ("done", |_, a| a.engine_completed_sum.to_string()),
+            ("timeouts", |_, a| a.engine_timeouts_sum.to_string()),
+            ("age_p999", |_, a| fmt_f(a.engine_age_p999_mean)),
+            ("age_p999_max", |_, a| a.engine_age_p999_max.to_string()),
+            ("ttd", |_, a| a.engine_ttd_max.to_string()),
+            ("ttr", |_, a| a.engine_ttr_min.to_string()),
         ],
     );
-    for scenario in &report.scenarios {
-        for agg in &scenario.aggregates {
-            table.push_row(vec![
-                scenario.spec.name.clone(),
-                fmt_f(agg.live_peers_mean),
-                agg.engine_lookups_sum.to_string(),
-                agg.engine_completed_sum.to_string(),
-                agg.engine_timeouts_sum.to_string(),
-                fmt_f(agg.engine_age_p999_mean),
-                agg.engine_age_p999_max.to_string(),
-                agg.engine_ttd_max.to_string(),
-                agg.engine_ttr_min.to_string(),
-            ]);
-        }
-    }
     let equiv = equivalence_violation(ctx.stream(16, 6));
     table.set_verdict(dump_flight_on_check(
         engine_verdict(&report, replay_identical, equiv, seeds, &json_path),
@@ -768,142 +649,94 @@ fn engine_verdict(
     seeds: u32,
     json_path: &str,
 ) -> String {
-    let agg = |name: &str| {
-        report
-            .scenarios
-            .iter()
-            .find(|s| s.spec.name == name)
-            .map(|s| &s.aggregates[0])
-    };
-    let mut checks = Vec::new();
-    let mut ok = true;
-    if !replay_identical {
-        ok = false;
-        checks.push("sweep replay diverged (report not byte-identical)".to_string());
-    }
-    if let Some(problem) = equivalence {
-        ok = false;
-        checks.push(problem);
-    }
     let (Some(base), Some(adaptive)) = (
-        agg("engine-slowdomain-baseline"),
-        agg("engine-slowdomain-adaptive"),
+        first_arm(report, "engine-slowdomain-baseline"),
+        first_arm(report, "engine-slowdomain-adaptive"),
     ) else {
         return format!("CHECK: battery arms missing; json -> {json_path}");
     };
+    let mut gates = Gates::default();
+    gates.require(
+        replay_identical,
+        "sweep replay diverged (report not byte-identical)",
+    );
+    gates.flag(equivalence);
     for (name, a) in [
         ("engine-slowdomain-baseline", base),
         ("engine-slowdomain-adaptive", adaptive),
     ] {
         // Every submitted lookup completes exactly once, on every seed.
-        if a.engine_lookups_sum == 0 || a.engine_completed_sum != a.engine_lookups_sum {
-            ok = false;
-            checks.push(format!(
+        gates.require(
+            a.engine_lookups_sum != 0 && a.engine_completed_sum == a.engine_lookups_sum,
+            format!(
                 "{name}: {}/{} lookups completed",
                 a.engine_completed_sum, a.engine_lookups_sum
-            ));
-        }
+            ),
+        );
         // The in-flight-age rule must flag the slow sector within 2
-        // windows of the fault onset, on every seed...
-        if !(0..=2).contains(&a.engine_ttd_max) {
-            ok = false;
-            checks.push(format!(
-                "{name}: engine ttd {} outside [0, 2]",
-                a.engine_ttd_max
-            ));
-        }
-        // ...and the heal must leave every seed recovered by run end.
-        if a.engine_ttr_min < 0 {
-            ok = false;
-            checks.push(format!(
-                "{name}: engine unhealthy at run end (ttr {})",
-                a.engine_ttr_min
-            ));
-        }
+        // windows of the fault onset on every seed, and the heal must
+        // leave every seed recovered by run end.
+        gates.detects(name, a.engine_ttd_max);
+        gates.recovers(name, a.engine_ttr_min);
         // The fault is visible in the tail: the slowed sector multiplies
         // one wire delay (4 ticks) by 32, so a p999 under one slow hop
         // means the skew never reached the in-flight window.
-        if a.engine_age_p999_max < 128 {
-            ok = false;
-            checks.push(format!(
+        gates.require(
+            a.engine_age_p999_max >= 128,
+            format!(
                 "{name}: age p999 {} never saw a slow hop",
                 a.engine_age_p999_max
-            ));
-        }
+            ),
+        );
     }
     // The adaptive arm's deadlines actually fired and were accounted.
-    if adaptive.engine_timeouts_sum == 0 {
-        ok = false;
-        checks.push("adaptive arm fired no deadlines".to_string());
-    }
-    format!(
-        "{}: 2 arms x {seeds} seeds; replay {}; age p999 max {} -> {} (baseline -> adaptive); json -> {}{}",
-        if ok { "HOLDS" } else { "CHECK" },
-        if replay_identical {
-            "byte-identical"
-        } else {
-            "DIVERGED"
-        },
-        base.engine_age_p999_max,
-        adaptive.engine_age_p999_max,
+    gates.require(
+        adaptive.engine_timeouts_sum != 0,
+        "adaptive arm fired no deadlines",
+    );
+    gates.verdict(
+        &format!(
+            "2 arms x {seeds} seeds; replay {}; age p999 max {} -> {} (baseline -> adaptive)",
+            if replay_identical {
+                "byte-identical"
+            } else {
+                "DIVERGED"
+            },
+            base.engine_age_p999_max,
+            adaptive.engine_age_p999_max,
+        ),
         json_path,
-        if checks.is_empty() {
-            String::new()
-        } else {
-            format!("; flagged: {}", checks.join(", "))
-        }
     )
 }
 
 /// The preset battery sweep and its table.
 fn run_presets(ctx: &ExpContext) -> Table {
-    let specs = battery(ctx);
-    let seeds = if ctx.quick { 4 } else { 8 };
-    let report = Sweep::new(specs)
-        .with_master_seed(ctx.stream(16, 0))
-        .with_seeds(seeds)
-        .run();
-
-    let json = report.to_json_pretty();
-    let json_path = persist_report(&json);
-
-    let mut table = Table::new(
+    let (report, json_path) = sweep_to(
+        &Sweep::new(battery(ctx))
+            .with_master_seed(ctx.stream(16, 0))
+            .with_seeds(if ctx.quick { 4 } else { 8 }),
+        "e16_scenarios.json",
+    );
+    let mut table = sweep_table(
         "E16: adversarial scenario battery (oracle vs chord)",
         "uniformity holds on honest rings under every topology; churn costs messages not \
          correctness; Byzantine routers capture samples only on the routed backend",
+        &report,
         &[
-            "scenario",
-            "backend",
-            "live",
-            "fail_rate",
-            "msgs/draw",
-            "hop_p99",
-            "draw_p99",
-            "tv",
-            "byz_pop",
-            "byz_samples",
-            "ttd",
-            "ttr",
+            ("scenario", |s, _| s.spec.name.clone()),
+            ("backend", |_, a| a.backend.clone()),
+            ("live", |_, a| fmt_f(a.live_peers_mean)),
+            ("fail_rate", |_, a| fmt_f(a.fail_rate_mean)),
+            ("msgs/draw", |_, a| fmt_f(a.messages_mean)),
+            ("hop_p99", |_, a| a.hop_p99_max.to_string()),
+            ("draw_p99", |_, a| a.draw_msgs_p99_max.to_string()),
+            ("tv", |_, a| fmt_f(a.tv_mean)),
+            ("byz_pop", |_, a| fmt_f(a.byzantine_population_share_mean)),
+            ("byz_samples", |_, a| fmt_f(a.byzantine_sample_share_mean)),
+            ("ttd", |_, a| a.time_to_detect_max.to_string()),
+            ("ttr", |_, a| a.time_to_recover_min.to_string()),
         ],
     );
-    for scenario in &report.scenarios {
-        for agg in &scenario.aggregates {
-            table.push_row(vec![
-                scenario.spec.name.clone(),
-                agg.backend.clone(),
-                fmt_f(agg.live_peers_mean),
-                fmt_f(agg.fail_rate_mean),
-                fmt_f(agg.messages_mean),
-                agg.hop_p99_max.to_string(),
-                agg.draw_msgs_p99_max.to_string(),
-                fmt_f(agg.tv_mean),
-                fmt_f(agg.byzantine_population_share_mean),
-                fmt_f(agg.byzantine_sample_share_mean),
-                agg.time_to_detect_max.to_string(),
-                agg.time_to_recover_min.to_string(),
-            ]);
-        }
-    }
     table.set_verdict(dump_flight_on_check(
         verdict(&report, &json_path),
         &report,
@@ -929,49 +762,36 @@ fn run_coalition(ctx: &ExpContext) -> Table {
             spec.workload.draws = 1_500;
         }
     }
-    let report = Sweep::new(specs)
-        .with_master_seed(ctx.stream(16, 2))
-        .with_seeds(seeds)
-        .run();
-    let json = report.to_json_pretty();
-    let json_path = persist_named_report(&json, "e16_coalition.json");
-
-    let mut table = Table::new(
+    let (report, json_path) = sweep_to(
+        &Sweep::new(specs)
+            .with_master_seed(ctx.stream(16, 2))
+            .with_seeds(seeds),
+        "e16_coalition.json",
+    );
+    let mut table = sweep_table(
         "E16-coalition: coalition attacks vs the verified-sampling defense (chord)",
         "every coalition strategy breaks chi-square uniformity undefended and is \
          restored by quorum-verified redundant sampling, with committee capture back at \
          the uniform baseline and the defense overhead priced in messages per sample",
+        &report,
         &[
-            "scenario",
-            "live",
-            "byz_pop",
-            "byz_share",
-            "chi_p_max",
-            "capture_p",
-            "capture_uniform",
-            "msgs/draw",
-            "quorum_fails",
-            "ttd",
-            "ttr",
+            ("scenario", |s, _| s.spec.name.clone()),
+            ("live", |_, a| fmt_f(a.live_peers_mean)),
+            ("byz_pop", |_, a| fmt_f(a.byzantine_population_share_mean)),
+            ("byz_share", |_, a| fmt_f(a.byzantine_sample_share_mean)),
+            ("chi_p_max", |_, a| format!("{:.1e}", a.chi_square_p_max)),
+            ("capture_p", |_, a| {
+                format!("{:.1e}", a.committee_capture_p_mean)
+            }),
+            ("capture_uniform", |_, a| {
+                format!("{:.1e}", a.committee_capture_p_uniform_mean)
+            }),
+            ("msgs/draw", |_, a| fmt_f(a.messages_mean)),
+            ("quorum_fails", |_, a| fmt_f(a.quorum_failures_mean)),
+            ("ttd", |_, a| a.time_to_detect_max.to_string()),
+            ("ttr", |_, a| a.time_to_recover_min.to_string()),
         ],
     );
-    for scenario in &report.scenarios {
-        for agg in &scenario.aggregates {
-            table.push_row(vec![
-                scenario.spec.name.clone(),
-                fmt_f(agg.live_peers_mean),
-                fmt_f(agg.byzantine_population_share_mean),
-                fmt_f(agg.byzantine_sample_share_mean),
-                format!("{:.1e}", agg.chi_square_p_max),
-                format!("{:.1e}", agg.committee_capture_p_mean),
-                format!("{:.1e}", agg.committee_capture_p_uniform_mean),
-                fmt_f(agg.messages_mean),
-                fmt_f(agg.quorum_failures_mean),
-                agg.time_to_detect_max.to_string(),
-                agg.time_to_recover_min.to_string(),
-            ]);
-        }
-    }
     table.set_verdict(dump_flight_on_check(
         coalition_verdict(&report, ctx.quick, &json_path),
         &report,
@@ -988,8 +808,7 @@ fn coalition_verdict(report: &SweepReport, quick: bool, json_path: &str) -> Stri
     // high seeds). Quick mode runs 2 seeds × 1,500 draws, so its share
     // estimate is noisier; the restoration bound widens accordingly.
     let restore_bar = if quick { 3.0 } else { 2.0 };
-    let mut checks = Vec::new();
-    let mut ok = true;
+    let mut gates = Gates::default();
     let mut pairs = 0;
     for scenario in &report.scenarios {
         let name = &scenario.spec.name;
@@ -997,43 +816,31 @@ fn coalition_verdict(report: &SweepReport, quick: bool, json_path: &str) -> Stri
             continue;
         }
         let attack = &scenario.aggregates[0];
-        let Some(defended) = report
-            .scenarios
-            .iter()
-            .find(|s| s.spec.name == format!("{name}-defended"))
-            .map(|s| &s.aggregates[0])
-        else {
-            ok = false;
-            checks.push(format!("{name}: no defended arm"));
+        let Some(defended) = first_arm(report, &format!("{name}-defended")) else {
+            gates.flag(Some(format!("{name}: no defended arm")));
             continue;
         };
         pairs += 1;
         // Both arms must actually sample: trial exhaustion would leave
         // the bias (and its chi-square, sentinel -1.0) unmeasured, not
         // absent.
-        if attack.fail_rate_mean > 0.05 || defended.fail_rate_mean > 0.05 {
-            ok = false;
-            checks.push(format!(
+        gates.require(
+            attack.fail_rate_mean <= 0.05 && defended.fail_rate_mean <= 0.05,
+            format!(
                 "{name}: draws failing (attack {:.3}, defended {:.3})",
                 attack.fail_rate_mean, defended.fail_rate_mean
-            ));
-        }
+            ),
+        );
         // Attack lands: uniformity measured and failing on every seed.
-        if attack.chi_square_p_max > 1e-4 || attack.chi_square_p_max < 0.0 {
-            ok = false;
-            checks.push(format!(
-                "{name}: attack p_max {:.1e}",
-                attack.chi_square_p_max
-            ));
-        }
+        gates.require(
+            (0.0..=1e-4).contains(&attack.chi_square_p_max),
+            format!("{name}: attack p_max {:.1e}", attack.chi_square_p_max),
+        );
         // Defense restores: uniformity passes on every seed.
-        if defended.chi_square_p_min < 1e-4 {
-            ok = false;
-            checks.push(format!(
-                "{name}: defended p_min {:.1e}",
-                defended.chi_square_p_min
-            ));
-        }
+        gates.require(
+            defended.chi_square_p_min >= 1e-4,
+            format!("{name}: defended p_min {:.1e}", defended.chi_square_p_min),
+        );
         // Committee capture returns to the uniform baseline's
         // neighbourhood.
         let restored =
@@ -1041,167 +848,429 @@ fn coalition_verdict(report: &SweepReport, quick: bool, json_path: &str) -> Stri
         let baseline =
             majority_capture_probability(defended.byzantine_population_share_mean, COMMITTEE_SIZE)
                 .max(1e-12);
-        if restored > restore_bar * baseline {
-            ok = false;
-            checks.push(format!(
-                "{name}: capture {restored:.1e} > {restore_bar}x baseline {baseline:.1e}"
-            ));
-        }
+        gates.require(
+            restored <= restore_bar * baseline,
+            format!("{name}: capture {restored:.1e} > {restore_bar}x baseline {baseline:.1e}"),
+        );
         // The defense must cost something measurable — a free defense
         // means the redundant lookups silently stopped running.
-        if defended.messages_mean <= attack.messages_mean {
-            ok = false;
-            checks.push(format!(
+        gates.require(
+            defended.messages_mean > attack.messages_mean,
+            format!(
                 "{name}: defense overhead vanished ({} <= {})",
                 defended.messages_mean, attack.messages_mean
-            ));
-        }
+            ),
+        );
         // The watchdog's chi-drift rule must flag the undefended attack
         // within 2 draw windows of the fault (active from window 0) on
-        // every seed...
-        if !(0..=2).contains(&attack.time_to_detect_max) {
-            ok = false;
-            checks.push(format!(
-                "{name}: attack ttd {} outside [0, 2]",
-                attack.time_to_detect_max
-            ));
-        }
-        // ...and the defended arm must end every seed healthy (recovery
-        // confirmed, or no breach at all).
-        if defended.time_to_recover_min < 0 {
-            ok = false;
-            checks.push(format!(
-                "{name}: defended arm unhealthy at run end (ttr {})",
-                defended.time_to_recover_min
-            ));
-        }
+        // every seed, and the defended arm must end every seed healthy
+        // (recovery confirmed, or no breach at all).
+        gates.detects(&format!("{name} attack"), attack.time_to_detect_max);
+        gates.recovers(&format!("{name} defended"), defended.time_to_recover_min);
     }
-    format!(
-        "{}: {} attack/defense pairs x {} seeds; json -> {}{}",
-        if ok && pairs > 0 { "HOLDS" } else { "CHECK" },
-        pairs,
-        report.seeds_per_scenario,
+    gates.require(pairs > 0, "no attack/defense pairs");
+    gates.verdict(
+        &format!(
+            "{pairs} attack/defense pairs x {} seeds",
+            report.seeds_per_scenario
+        ),
         json_path,
-        if checks.is_empty() {
-            String::new()
-        } else {
-            format!("; flagged: {}", checks.join(", "))
-        }
     )
 }
 
-/// Writes the JSON report under `target/`; falls back to stdout-only when
-/// the directory is not writable (e.g. read-only CI caches).
-fn persist_report(json: &str) -> String {
-    persist_named_report(json, "e16_scenarios.json")
+/// The preset battery's gates.
+fn verdict(report: &SweepReport, json_path: &str) -> String {
+    let mut gates = Gates::default();
+    for scenario in &report.scenarios {
+        let name = scenario.spec.name.as_str();
+        for agg in &scenario.aggregates {
+            let arm = format!("{name}:{}", agg.backend);
+            let fail = agg.fail_rate_mean;
+            // The paper's O(log n) bound is a *tail* claim: gate the
+            // worst per-seed hop p99, not the mean.
+            gates.flag(hop_tail_violation(name, agg));
+            // The stale-oracle arm is *supposed* to fail draws (that is
+            // the staleness cost it measures); it only has to stay
+            // usable.
+            if agg.backend == "stale-oracle" {
+                gates.require(
+                    fail != 0.0 && fail <= 0.6,
+                    format!("{arm} fail={fail:.3} (expected in (0, 0.6])"),
+                );
+                continue;
+            }
+            let chord = agg.backend == "chord";
+            match name {
+                // Honest rings: no failures, uniformity intact.
+                "honest-static" | "clustered-ring" => gates.require(
+                    fail <= 0.01 && agg.chi_square_p_min >= 1e-6,
+                    format!("{arm} fail={fail:.3} p_min={:.1e}", agg.chi_square_p_min),
+                ),
+                // Churn may fail a few draws but must stay usable.
+                "crash-churn" | "flash-crowd" | "scale-stress" => {
+                    gates.require(fail <= 0.10, format!("{arm} fail={fail:.3}"))
+                }
+                // The capture attack must show up on the routed backend...
+                "byzantine-routers" if chord => gates.require(
+                    agg.byzantine_sample_share_mean > agg.byzantine_population_share_mean,
+                    format!(
+                        "{arm} capture {:.3} <= share {:.3}",
+                        agg.byzantine_sample_share_mean, agg.byzantine_population_share_mean
+                    ),
+                ),
+                // ...and only there.
+                "byzantine-routers" => gates.require(
+                    agg.byzantine_sample_share_mean == 0.0,
+                    format!("{arm} captured samples"),
+                ),
+                _ => {}
+            }
+            // The watchdog must flag the churn fault promptly on every
+            // seed: crash churn is active from window 0, so the first
+            // breach may lag it by at most 2 windows.
+            if name == "crash-churn" && chord {
+                gates.detects(&arm, agg.time_to_detect_max);
+            }
+        }
+    }
+    gates.verdict(
+        &format!(
+            "{} scenarios x {} seeds x 2 backends",
+            report.scenarios.len(),
+            report.seeds_per_scenario
+        ),
+        json_path,
+    )
 }
 
-fn persist_named_report(json: &str, file: &str) -> String {
+/// The flagged gates of one battery verdict. Every check runs on its
+/// own, so one failing gate never hides another.
+#[derive(Default)]
+struct Gates {
+    flagged: Vec<String>,
+}
+
+impl Gates {
+    /// Flags `why` unless `pass`.
+    fn require(&mut self, pass: bool, why: impl Into<String>) {
+        if !pass {
+            self.flagged.push(why.into());
+        }
+    }
+
+    /// Flags a problem a check has already described.
+    fn flag(&mut self, problem: Option<String>) {
+        self.flagged.extend(problem);
+    }
+
+    /// The watchdog flagged `arm`'s fault within 2 windows on every seed
+    /// (ttd −1: some seed never detected it).
+    fn detects(&mut self, arm: &str, ttd: i64) {
+        self.require(
+            (0..=2).contains(&ttd),
+            format!("{arm}: ttd {ttd} outside [0, 2]"),
+        );
+    }
+
+    /// `arm` ended every seed healthy (ttr −1: recovery unconfirmed).
+    fn recovers(&mut self, arm: &str, ttr: i64) {
+        self.require(ttr >= 0, format!("{arm}: unhealthy at run end (ttr {ttr})"));
+    }
+
+    /// `HOLDS|CHECK: <summary>; json -> <path>[; flagged: …]`.
+    fn verdict(self, summary: &str, json_path: &str) -> String {
+        if self.flagged.is_empty() {
+            format!("HOLDS: {summary}; json -> {json_path}")
+        } else {
+            format!(
+                "CHECK: {summary}; json -> {json_path}; flagged: {}",
+                self.flagged.join(", ")
+            )
+        }
+    }
+}
+
+/// One table column: its header, and how an arm's cell renders.
+type Column = (
+    &'static str,
+    fn(&ScenarioReport, &BackendAggregate) -> String,
+);
+
+/// A battery table with one row per scenario × backend aggregate.
+fn sweep_table(title: &str, claim: &str, report: &SweepReport, columns: &[Column]) -> Table {
+    let headers: Vec<&str> = columns.iter().map(|&(header, _)| header).collect();
+    let mut table = Table::new(title, claim, &headers);
+    for scenario in &report.scenarios {
+        for agg in &scenario.aggregates {
+            table.push_row(
+                columns
+                    .iter()
+                    .map(|(_, cell)| cell(scenario, agg))
+                    .collect(),
+            );
+        }
+    }
+    table
+}
+
+/// The first aggregate of the scenario called `name`.
+fn first_arm<'a>(report: &'a SweepReport, name: &str) -> Option<&'a BackendAggregate> {
+    report
+        .scenarios
+        .iter()
+        .find(|s| s.spec.name == name)
+        .map(|s| &s.aggregates[0])
+}
+
+/// A telemetry counter summed across seeds (0 when never bumped).
+fn counter(agg: &BackendAggregate, name: &str) -> u64 {
+    agg.counters.get(name).copied().unwrap_or(0)
+}
+
+/// Runs `sweep` and writes its JSON report to `target/<file>`; returns
+/// the report and where its JSON went.
+fn sweep_to(sweep: &Sweep, file: &str) -> (SweepReport, String) {
+    let report = sweep.run();
+    let path = persist(&report.to_json_pretty(), file);
+    (report, path)
+}
+
+/// Writes `text` to `target/<file>`; falls back to stdout-only when the
+/// directory is not writable (e.g. read-only CI caches).
+fn persist(text: &str, file: &str) -> String {
     let path = std::path::Path::new("target").join(file);
-    match std::fs::create_dir_all("target").and_then(|()| std::fs::write(&path, json)) {
+    match std::fs::create_dir_all("target").and_then(|()| std::fs::write(&path, text)) {
         Ok(()) => path.display().to_string(),
         Err(_) => {
-            println!("{json}");
+            println!("{text}");
             "(stdout)".to_string()
         }
     }
 }
 
-fn verdict(report: &SweepReport, json_path: &str) -> String {
-    let mut checks = Vec::new();
-    let mut ok = true;
-    for scenario in &report.scenarios {
-        for agg in &scenario.aggregates {
-            // The paper's O(log n) bound is a *tail* claim: gate the
-            // worst per-seed hop p99, not the mean.
-            if let Some(violation) = hop_tail_violation(&scenario.spec.name, agg) {
-                ok = false;
-                checks.push(violation);
-            }
-            // The stale-oracle arm is *supposed* to fail draws (that is
-            // the staleness cost it measures); it only has to stay
-            // usable.
-            if agg.backend == "stale-oracle" {
-                if agg.fail_rate_mean == 0.0 || agg.fail_rate_mean > 0.6 {
-                    ok = false;
-                    checks.push(format!(
-                        "{}:stale-oracle fail={:.3} (expected in (0, 0.6])",
-                        scenario.spec.name, agg.fail_rate_mean
-                    ));
-                }
-                continue;
-            }
-            match scenario.spec.name.as_str() {
-                // Honest rings: no failures, uniformity intact.
-                "honest-static" | "clustered-ring"
-                    if agg.fail_rate_mean > 0.01 || agg.chi_square_p_min < 1e-6 =>
-                {
-                    ok = false;
-                    checks.push(format!(
-                        "{}:{} fail={:.3} p_min={:.1e}",
-                        scenario.spec.name, agg.backend, agg.fail_rate_mean, agg.chi_square_p_min
-                    ));
-                }
-                // Churn may fail a few draws but must stay usable.
-                "crash-churn" | "flash-crowd" | "scale-stress" if agg.fail_rate_mean > 0.10 => {
-                    ok = false;
-                    checks.push(format!(
-                        "{}:{} fail={:.3}",
-                        scenario.spec.name, agg.backend, agg.fail_rate_mean
-                    ));
-                }
-                // The watchdog must flag the churn fault promptly on
-                // every seed: crash churn is active from window 0, so
-                // the first breach may lag it by at most 2 windows.
-                "crash-churn"
-                    if agg.backend == "chord" && !(0..=2).contains(&agg.time_to_detect_max) =>
-                {
-                    ok = false;
-                    checks.push(format!(
-                        "crash-churn:chord ttd {} outside [0, 2]",
-                        agg.time_to_detect_max
-                    ));
-                }
-                // The capture attack must show up on the routed backend...
-                "byzantine-routers"
-                    if agg.backend == "chord"
-                        && agg.byzantine_sample_share_mean
-                            <= agg.byzantine_population_share_mean =>
-                {
-                    ok = false;
-                    checks.push(format!(
-                        "byzantine:chord capture {:.3} <= share {:.3}",
-                        agg.byzantine_sample_share_mean, agg.byzantine_population_share_mean
-                    ));
-                }
-                // ...and only there.
-                "byzantine-routers"
-                    if agg.backend != "chord" && agg.byzantine_sample_share_mean != 0.0 =>
-                {
-                    ok = false;
-                    checks.push("byzantine:oracle captured samples".to_string());
-                }
-                _ => {}
-            }
-        }
-    }
-    format!(
-        "{}: {} scenarios x {} seeds x 2 backends; json -> {}{}",
-        if ok { "HOLDS" } else { "CHECK" },
-        report.scenarios.len(),
-        report.seeds_per_scenario,
-        json_path,
-        if checks.is_empty() {
-            String::new()
-        } else {
-            format!("; flagged: {}", checks.join(", "))
-        }
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One battery's quick-sized report, swept with its runner's specs,
+    /// seeds and master stream (scale: the unit-suite size, n = 1000).
+    fn quick_report(name: &str) -> SweepReport {
+        let ctx = ExpContext {
+            quick: true,
+            ..ExpContext::default()
+        };
+        let (specs, stream, seeds, scale) = match name {
+            "presets" => (battery(&ctx), 0, 4, 1.0),
+            "coalition" => {
+                let mut specs = ScenarioSpec::coalition_battery(&[0.10]);
+                for spec in &mut specs {
+                    spec.n_initial = 96;
+                    spec.workload.draws = 1_500;
+                }
+                (specs, 2, 2, 1.0)
+            }
+            "domains" => (domain_battery_specs(&ctx), 4, 2, 1.0),
+            "engine" => (engine_battery_specs(&ctx), 5, 2, 1.0),
+            "scale" => (scale_battery(), 1, 2, 0.01),
+            other => panic!("no battery {other}"),
+        };
+        Sweep::new(specs)
+            .with_scale(scale)
+            .with_master_seed(ctx.stream(16, stream))
+            .with_seeds(seeds)
+            .run()
+    }
+
+    /// The verdict each battery's runner renders for `report`.
+    fn judge(name: &str, report: &SweepReport) -> String {
+        match name {
+            "presets" => verdict(report, "x.json"),
+            "coalition" => coalition_verdict(report, true, "x.json"),
+            "domains" => domains_verdict(report, 2, "x.json"),
+            "engine" => engine_verdict(report, true, None, 2, "x.json"),
+            "scale" => scale_verdict(report, "x.json"),
+            other => panic!("no battery {other}"),
+        }
+    }
+
+    fn arm<'a>(
+        report: &'a mut SweepReport,
+        scenario: &str,
+        backend: &str,
+    ) -> &'a mut BackendAggregate {
+        report
+            .scenarios
+            .iter_mut()
+            .filter(|s| s.spec.name == scenario)
+            .flat_map(|s| s.aggregates.iter_mut())
+            .find(|a| a.backend == backend)
+            .unwrap_or_else(|| panic!("no arm {scenario}:{backend}"))
+    }
+
+    fn drop_scenario(report: &mut SweepReport, scenario: &str) {
+        report.scenarios.retain(|s| s.spec.name != scenario);
+    }
+
+    /// `(battery, push one field, substrings the verdict must name)`; an
+    /// empty list means the push sits exactly on the bound and must hold.
+    type GateCase = (&'static str, fn(&mut SweepReport), &'static [&'static str]);
+
+    const SYBIL: &str = "sybil-arc-capture-b10";
+    const SYBIL_DEFENDED: &str = "sybil-arc-capture-b10-defended";
+    const ENGINE_BASE: &str = "engine-slowdomain-baseline";
+    const ENGINE_ADAPTIVE: &str = "engine-slowdomain-adaptive";
+
+    #[rustfmt::skip]
+    const GATE_CASES: &[GateCase] = &[
+        // Presets.
+        ("presets", |r| arm(r, "honest-static", "chord").hop_p99_max = 10_000, &["honest-static:chord", "hop_p99"]),
+        ("presets", |r| arm(r, "crash-churn", "stale-oracle").fail_rate_mean = 0.0, &["crash-churn:stale-oracle", "fail"]),
+        ("presets", |r| arm(r, "crash-churn", "stale-oracle").fail_rate_mean = 0.7, &["crash-churn:stale-oracle", "fail"]),
+        ("presets", |r| arm(r, "crash-churn", "stale-oracle").fail_rate_mean = 0.6, &[]),
+        ("presets", |r| arm(r, "honest-static", "oracle").fail_rate_mean = 0.02, &["honest-static:oracle", "fail"]),
+        ("presets", |r| arm(r, "honest-static", "chord").fail_rate_mean = 0.01, &[]),
+        ("presets", |r| arm(r, "honest-static", "chord").chi_square_p_min = 1e-9, &["honest-static:chord", "p_min"]),
+        ("presets", |r| arm(r, "honest-static", "chord").chi_square_p_min = 1e-6, &[]),
+        ("presets", |r| arm(r, "crash-churn", "oracle").fail_rate_mean = 0.2, &["crash-churn:oracle", "fail"]),
+        ("presets", |r| arm(r, "crash-churn", "chord").fail_rate_mean = 0.10, &[]),
+        ("presets", |r| arm(r, "crash-churn", "chord").time_to_detect_max = -1, &["crash-churn:chord", "ttd"]),
+        ("presets", |r| arm(r, "crash-churn", "chord").time_to_detect_max = 3, &["crash-churn:chord", "ttd"]),
+        ("presets", |r| arm(r, "crash-churn", "chord").time_to_detect_max = 2, &[]),
+        ("presets", |r| {
+            let a = arm(r, "byzantine-routers", "chord");
+            a.byzantine_sample_share_mean = a.byzantine_population_share_mean;
+        }, &["byzantine", "chord capture"]),
+        ("presets", |r| arm(r, "byzantine-routers", "oracle").byzantine_sample_share_mean = 0.01, &["byzantine", "oracle captured"]),
+        // Coalition.
+        ("coalition", |r| arm(r, SYBIL, "chord").fail_rate_mean = 0.06, &[SYBIL, "draws failing"]),
+        ("coalition", |r| arm(r, SYBIL_DEFENDED, "chord").fail_rate_mean = 0.06, &[SYBIL, "draws failing"]),
+        ("coalition", |r| arm(r, SYBIL, "chord").fail_rate_mean = 0.05, &[]),
+        ("coalition", |r| arm(r, SYBIL, "chord").chi_square_p_max = 1e-3, &[SYBIL, "p_max"]),
+        ("coalition", |r| arm(r, SYBIL, "chord").chi_square_p_max = -1.0, &[SYBIL, "p_max"]),
+        ("coalition", |r| arm(r, SYBIL, "chord").chi_square_p_max = 1e-4, &[]),
+        ("coalition", |r| arm(r, SYBIL_DEFENDED, "chord").chi_square_p_min = 1e-5, &[SYBIL, "p_min"]),
+        ("coalition", |r| arm(r, SYBIL_DEFENDED, "chord").chi_square_p_min = 1e-4, &[]),
+        ("coalition", |r| arm(r, SYBIL_DEFENDED, "chord").byzantine_sample_share_mean = 0.5, &[SYBIL, "capture"]),
+        ("coalition", |r| {
+            let attack = arm(r, SYBIL, "chord").messages_mean;
+            arm(r, SYBIL_DEFENDED, "chord").messages_mean = attack;
+        }, &[SYBIL, "overhead"]),
+        ("coalition", |r| arm(r, SYBIL, "chord").time_to_detect_max = -1, &[SYBIL, "ttd"]),
+        ("coalition", |r| arm(r, SYBIL, "chord").time_to_detect_max = 3, &[SYBIL, "ttd"]),
+        ("coalition", |r| arm(r, SYBIL_DEFENDED, "chord").time_to_recover_min = -1, &[SYBIL, "ttr"]),
+        ("coalition", |r| arm(r, SYBIL_DEFENDED, "chord").time_to_recover_min = 0, &[]),
+        ("coalition", |r| drop_scenario(r, SYBIL_DEFENDED), &[SYBIL, "no defended arm"]),
+        ("coalition", |r| r.scenarios.retain(|s| s.spec.name.ends_with("-defended")), &["0 attack/defense pairs"]),
+        // Failure domains.
+        ("domains", |r| arm(r, "domain-outage-adaptive", "chord").outage_draws_sum += 1, &["outage draws"]),
+        ("domains", |r| {
+            arm(r, "domain-outage-baseline", "chord").outage_draws_sum = 0;
+            arm(r, "domain-outage-adaptive", "chord").outage_draws_sum = 0;
+        }, &["outage draws"]),
+        ("domains", |r| arm(r, "domain-outage-baseline", "chord").outage_success_ratio_mean = 0.995, &["baseline survived"]),
+        ("domains", |r| arm(r, "domain-outage-adaptive", "chord").outage_success_ratio_min = 0.9, &["adaptive", "99%"]),
+        ("domains", |r| arm(r, "domain-outage-adaptive", "chord").outage_success_ratio_min = 0.99, &[]),
+        ("domains", |r| {
+            arm(r, "domain-outage-adaptive", "chord").counters.insert("lookup.retries".to_string(), 0);
+        }, &["adaptive", "retry/fallback"]),
+        ("domains", |r| {
+            arm(r, "domain-outage-adaptive", "chord").counters.remove("lookup.fallback_depth");
+        }, &["adaptive", "retry/fallback"]),
+        ("domains", |r| {
+            *arm(r, "domain-outage-scored", "chord").counters.get_mut("domain.events").unwrap() += 1;
+        }, &["domain-outage-scored", "domain.events"]),
+        ("domains", |r| arm(r, "domain-outage-retry", "chord").time_to_detect_max = -1, &["domain-outage-retry", "ttd"]),
+        ("domains", |r| arm(r, "domain-outage-retry", "chord").time_to_detect_max = 3, &["domain-outage-retry", "ttd"]),
+        ("domains", |r| arm(r, "domain-outage-baseline", "chord").time_to_recover_min = -1, &["domain-outage-baseline", "ttr"]),
+        ("domains", |r| drop_scenario(r, "domain-outage-adaptive"), &["battery arms missing"]),
+        // Async engine.
+        ("engine", |r| arm(r, ENGINE_BASE, "chord").engine_completed_sum -= 1, &[ENGINE_BASE, "lookups completed"]),
+        ("engine", |r| {
+            let a = arm(r, ENGINE_ADAPTIVE, "chord");
+            a.engine_lookups_sum = 0;
+            a.engine_completed_sum = 0;
+        }, &[ENGINE_ADAPTIVE, "lookups completed"]),
+        ("engine", |r| arm(r, ENGINE_ADAPTIVE, "chord").engine_ttd_max = -1, &[ENGINE_ADAPTIVE, "ttd"]),
+        ("engine", |r| arm(r, ENGINE_BASE, "chord").engine_ttd_max = 3, &[ENGINE_BASE, "ttd"]),
+        ("engine", |r| arm(r, ENGINE_BASE, "chord").engine_ttr_min = -1, &[ENGINE_BASE, "ttr"]),
+        ("engine", |r| arm(r, ENGINE_ADAPTIVE, "chord").engine_age_p999_max = 100, &[ENGINE_ADAPTIVE, "p999"]),
+        ("engine", |r| arm(r, ENGINE_ADAPTIVE, "chord").engine_age_p999_max = 128, &[]),
+        ("engine", |r| arm(r, ENGINE_ADAPTIVE, "chord").engine_timeouts_sum = 0, &["adaptive", "deadlines"]),
+        ("engine", |r| drop_scenario(r, ENGINE_BASE), &["battery arms missing"]),
+        // Scale arms.
+        ("scale", |r| arm(r, "scale-stress-chord", "chord").hop_p99_max = 10_000, &["scale-stress-chord", "hop_p99"]),
+        ("scale", |r| arm(r, "scale-stress-oracle", "oracle").fail_rate_mean = 0.06, &["scale-stress-oracle", "fail"]),
+        ("scale", |r| arm(r, "scale-stress-chord", "chord").fail_rate_mean = 0.05, &[]),
+        ("scale", |r| arm(r, "scale-stress-oracle", "oracle").live_peers_mean = 1.0, &["scale-stress-oracle", "live collapsed"]),
+        ("scale", |r| arm(r, "scale-stress-chord", "chord").finger_staleness_mean = 0.06, &["scale-stress-chord", "staleness"]),
+        ("scale", |r| arm(r, "scale-stress-chord", "chord").finger_staleness_mean = 0.05, &[]),
+        ("scale", |r| arm(r, "scale-stress-chord", "chord").time_to_recover_min = -1, &["scale-stress-chord", "ttr"]),
+    ];
+
+    #[test]
+    fn every_verdict_gate_flags_its_arm() {
+        for name in ["presets", "coalition", "domains", "engine", "scale"] {
+            let report = quick_report(name);
+            let holds = judge(name, &report);
+            assert!(holds.starts_with("HOLDS"), "{name}: {holds}");
+            for (i, (_, push, flags)) in GATE_CASES.iter().enumerate().filter(|(_, c)| c.0 == name)
+            {
+                let mut pushed = report.clone();
+                push(&mut pushed);
+                let got = judge(name, &pushed);
+                if flags.is_empty() {
+                    assert!(
+                        got.starts_with("HOLDS"),
+                        "{name} case {i} is on its bound: {got}"
+                    );
+                    continue;
+                }
+                assert!(got.starts_with("CHECK"), "{name} case {i} must trip: {got}");
+                for flag in *flags {
+                    assert!(
+                        got.contains(flag),
+                        "{name} case {i} must name {flag:?}: {got}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn engine_determinism_pins_are_gated() {
+        // The two determinism pins are inputs, not aggregate fields.
+        let report = quick_report("engine");
+        let diverged = engine_verdict(&report, false, None, 2, "x.json");
+        assert!(
+            diverged.starts_with("CHECK") && diverged.contains("replay"),
+            "{diverged}"
+        );
+        let unequal = engine_verdict(
+            &report,
+            true,
+            Some("engine/sync divergence".into()),
+            2,
+            "x.json",
+        );
+        assert!(
+            unequal.starts_with("CHECK") && unequal.contains("engine/sync divergence"),
+            "{unequal}"
+        );
+    }
+
+    #[test]
+    fn crash_churn_flags_failed_draws_and_a_lost_detection_together() {
+        // Every preset gate runs on its own: a crash-churn chord arm that
+        // both fails draws and never detects must name both problems.
+        let mut report = quick_report("presets");
+        let churn = arm(&mut report, "crash-churn", "chord");
+        churn.fail_rate_mean = 0.2;
+        churn.time_to_detect_max = -1;
+        let got = verdict(&report, "x.json");
+        assert!(got.starts_with("CHECK"), "{got}");
+        assert!(got.contains("crash-churn:chord fail=0.200"), "{got}");
+        assert!(got.contains("ttd -1"), "{got}");
+    }
 
     #[test]
     fn battery_selector_keeps_the_fixed_table_order() {

@@ -215,8 +215,8 @@ pub struct SeedRunRecord {
     /// oracle backends). Captured whether or not tracing is on, so the
     /// trace ids stay valid for a traced replay.
     pub tail_exemplars: Vec<TailExemplar>,
-    /// `tail_exemplars.len()` — the numeric column aggregates and diffs
-    /// gate on.
+    /// `tail_exemplars.len()`, summed into the aggregates and reported in
+    /// the dash arms table (not gated by `exp -- report`).
     pub exemplar_count: u64,
     /// Span-profiler totals: simulated cost attributed to each lookup /
     /// maintenance phase (`lookup;finger_walk`, `lookup;retry_backoff`,

@@ -7,6 +7,8 @@
 //! `derive_seed(master, task_stream)`, and the parallel map preserves task
 //! order, so reports are byte-identical across runs and thread counts.
 
+use std::collections::BTreeMap;
+
 use rayon::prelude::*;
 use serde::Serialize;
 use simnet::rng::derive_seed;
@@ -121,7 +123,8 @@ pub struct BackendAggregate {
     /// oracle arms; ties break name-ascending, so the pick is
     /// deterministic).
     pub top_span: String,
-    /// That span's summed cost — the numeric column diffs gate on.
+    /// That span's summed cost, reported in the dash arms table (not
+    /// gated by `exp -- report`).
     pub top_span_cost: u64,
     /// Span-profiler costs summed across seeds, name-sorted (empty on
     /// oracle arms).
@@ -140,121 +143,43 @@ pub struct BackendAggregate {
 
 impl BackendAggregate {
     fn from_records(backend: Backend, records: &[&SeedRunRecord]) -> BackendAggregate {
-        let mut live = Welford::new();
-        let mut fail = Welford::new();
-        let mut messages = Welford::new();
-        let mut latency = Welford::new();
-        let mut trials = Welford::new();
-        let mut tv = Welford::new();
-        let mut byz_pop = Welford::new();
-        let mut byz_sample = Welford::new();
-        let mut tv_worst = 0.0f64;
-        let mut chi_min = f64::INFINITY;
-        let mut chi_max = f64::NEG_INFINITY;
-        let mut capture = Welford::new();
-        let mut capture_uniform = Welford::new();
-        let mut quorum_failures = Welford::new();
-        let mut staleness = Welford::new();
-        let mut backlog = Welford::new();
-        let mut hop_p99 = Welford::new();
-        let mut hop_p99_max = 0u64;
-        let mut draw_p99 = Welford::new();
-        let mut draw_p99_max = 0u64;
-        let mut watchdog_windows = Welford::new();
-        let mut health_breaches = Welford::new();
-        let mut ttd_max = i64::MIN;
-        let mut any_undetected = false;
-        let mut ttr_min = i64::MAX;
-        let mut outage_draws_sum = 0u64;
-        let mut outage_ratio = Welford::new();
-        let mut outage_ratio_min = 1.0f64;
-        let mut engine_lookups_sum = 0u64;
-        let mut engine_completed_sum = 0u64;
-        let mut engine_timeouts_sum = 0u64;
-        let mut engine_age_p999 = Welford::new();
-        let mut engine_age_p999_max = 0u64;
-        let mut engine_ttd_max = i64::MIN;
-        let mut engine_any_undetected = false;
-        let mut engine_ttr_min = i64::MAX;
-        let mut exemplar_count_sum = 0u64;
-        let mut span_costs: std::collections::BTreeMap<String, u64> =
-            std::collections::BTreeMap::new();
-        let mut series_sum: std::collections::BTreeMap<String, (Vec<f64>, Vec<u64>)> =
-            std::collections::BTreeMap::new();
+        // One fold per column over `records`, in record order: each
+        // Welford sees exactly the pushes a single accumulating loop would,
+        // so every float is bit-identical.
+        let welford =
+            |f: fn(&SeedRunRecord) -> f64| records.iter().map(|r| f(r)).collect::<Welford>();
+        let mean = |f: fn(&SeedRunRecord) -> f64| welford(f).mean();
+        let sum = |f: fn(&SeedRunRecord) -> u64| records.iter().map(|r| f(r)).sum::<u64>();
+        let max = |f: fn(&SeedRunRecord) -> u64| records.iter().map(|r| f(r)).max().unwrap_or(0);
+        // Worst time-to-detect; −1 when any seed never detected (or there
+        // are no seeds).
+        let worst_detect = |f: fn(&SeedRunRecord) -> i64| {
+            records
+                .iter()
+                .try_fold(-1, |worst, r| (f(r) >= 0).then(|| worst.max(f(r))))
+                .unwrap_or(-1)
+        };
+        // Best time-to-recover; a −1 seed dominates, 0 with no seeds.
+        let best_recover =
+            |f: fn(&SeedRunRecord) -> i64| records.iter().map(|r| f(r)).min().unwrap_or(0);
         // Per-worker recorders are merged here by summation into one
         // sorted map, so the aggregate is independent of rayon's task
         // interleaving (each record is already a pure function of its
         // seed; the fold order over a BTreeMap is canonical).
-        let mut counters = std::collections::BTreeMap::new();
-        for r in records {
-            live.push(r.live_peers as f64);
-            let total = r.samples_ok + r.samples_failed;
-            fail.push(if total == 0 {
-                0.0
-            } else {
-                r.samples_failed as f64 / total as f64
-            });
-            messages.push(r.mean_messages);
-            latency.push(r.mean_latency);
-            trials.push(r.mean_trials);
-            tv.push(r.tv_from_uniform);
-            tv_worst = tv_worst.max(r.tv_from_uniform);
-            if r.chi_square_p.is_finite() {
-                chi_min = chi_min.min(r.chi_square_p);
-                chi_max = chi_max.max(r.chi_square_p);
+        let sum_maps = |f: fn(&SeedRunRecord) -> &BTreeMap<String, u64>| {
+            let mut total = BTreeMap::new();
+            for (name, value) in records.iter().flat_map(|r| f(r)) {
+                *total.entry(name.clone()).or_insert(0u64) += value;
             }
-            byz_pop.push(r.byzantine_population_share);
-            byz_sample.push(r.byzantine_sample_share);
-            capture.push(r.committee_capture_p);
-            capture_uniform.push(r.committee_capture_p_uniform);
-            quorum_failures.push(r.quorum_failures as f64);
-            staleness.push(r.finger_staleness);
-            backlog.push(r.maintenance_backlog as f64);
-            hop_p99.push(r.hop_p99 as f64);
-            hop_p99_max = hop_p99_max.max(r.hop_p99);
-            draw_p99.push(r.draw_msgs_p99 as f64);
-            draw_p99_max = draw_p99_max.max(r.draw_msgs_p99);
-            watchdog_windows.push(r.watchdog_windows as f64);
-            health_breaches.push(r.health_breaches as f64);
-            if r.time_to_detect < 0 {
-                any_undetected = true;
-            } else {
-                ttd_max = ttd_max.max(r.time_to_detect);
-            }
-            ttr_min = ttr_min.min(r.time_to_recover);
-            outage_draws_sum += r.outage_draws;
-            outage_ratio.push(r.outage_success_ratio);
-            outage_ratio_min = outage_ratio_min.min(r.outage_success_ratio);
-            engine_lookups_sum += r.engine_lookups;
-            engine_completed_sum += r.engine_completed;
-            engine_timeouts_sum += r.engine_timeouts;
-            engine_age_p999.push(r.engine_age_p999 as f64);
-            engine_age_p999_max = engine_age_p999_max.max(r.engine_age_p999);
-            if r.engine_ttd < 0 {
-                engine_any_undetected = true;
-            } else {
-                engine_ttd_max = engine_ttd_max.max(r.engine_ttd);
-            }
-            engine_ttr_min = engine_ttr_min.min(r.engine_ttr);
-            for (name, column) in &r.series {
-                let (sums, counts) = series_sum.entry(name.clone()).or_default();
-                if sums.len() < column.len() {
-                    sums.resize(column.len(), 0.0);
-                    counts.resize(column.len(), 0);
-                }
-                for (i, v) in column.iter().enumerate() {
-                    sums[i] += v;
-                    counts[i] += 1;
-                }
-            }
-            for (name, value) in &r.counters {
-                *counters.entry(name.clone()).or_insert(0u64) += value;
-            }
-            exemplar_count_sum += r.exemplar_count;
-            for (name, cost) in &r.span_costs {
-                *span_costs.entry(name.clone()).or_insert(0u64) += cost;
-            }
-        }
+            total
+        };
+        let chi: Vec<f64> = records
+            .iter()
+            .map(|r| r.chi_square_p)
+            .filter(|p| p.is_finite())
+            .collect();
+        let messages = welford(|r| r.mean_messages);
+        let span_costs = sum_maps(|r| &r.span_costs);
         // Costliest span, cost-descending with name-ascending ties — the
         // BTreeMap iteration order plus strict `>` makes the pick
         // deterministic.
@@ -268,6 +193,18 @@ impl BackendAggregate {
                         best
                     }
                 });
+        let mut series_sum: BTreeMap<String, (Vec<f64>, Vec<u64>)> = BTreeMap::new();
+        for (name, column) in records.iter().flat_map(|r| &r.series) {
+            let (sums, counts) = series_sum.entry(name.clone()).or_default();
+            if sums.len() < column.len() {
+                sums.resize(column.len(), 0.0);
+                counts.resize(column.len(), 0);
+            }
+            for (i, v) in column.iter().enumerate() {
+                sums[i] += v;
+                counts[i] += 1;
+            }
+        }
         let series_mean = series_sum
             .into_iter()
             .map(|(name, (sums, counts))| {
@@ -282,63 +219,60 @@ impl BackendAggregate {
         BackendAggregate {
             backend: backend.name().to_string(),
             seeds: records.len() as u64,
-            live_peers_mean: live.mean(),
-            fail_rate_mean: fail.mean(),
+            live_peers_mean: mean(|r| r.live_peers as f64),
+            fail_rate_mean: mean(|r| match r.samples_ok + r.samples_failed {
+                0 => 0.0,
+                total => r.samples_failed as f64 / total as f64,
+            }),
             messages_mean: messages.mean(),
             messages_std: messages.std_dev(),
-            latency_mean: latency.mean(),
-            trials_mean: trials.mean(),
-            tv_mean: tv.mean(),
-            tv_worst,
-            chi_square_p_min: if chi_min.is_finite() { chi_min } else { -1.0 },
-            chi_square_p_max: if chi_max.is_finite() { chi_max } else { -1.0 },
-            byzantine_population_share_mean: byz_pop.mean(),
-            byzantine_sample_share_mean: byz_sample.mean(),
-            committee_capture_p_mean: capture.mean(),
-            committee_capture_p_uniform_mean: capture_uniform.mean(),
-            quorum_failures_mean: quorum_failures.mean(),
-            finger_staleness_mean: staleness.mean(),
-            maintenance_backlog_mean: backlog.mean(),
-            hop_p99_mean: hop_p99.mean(),
-            hop_p99_max,
-            draw_msgs_p99_mean: draw_p99.mean(),
-            draw_msgs_p99_max: draw_p99_max,
-            watchdog_windows_mean: watchdog_windows.mean(),
-            health_breaches_mean: health_breaches.mean(),
-            time_to_detect_max: if any_undetected || ttd_max == i64::MIN {
-                -1
-            } else {
-                ttd_max
-            },
-            time_to_recover_min: if ttr_min == i64::MAX { 0 } else { ttr_min },
-            outage_draws_sum,
+            latency_mean: mean(|r| r.mean_latency),
+            trials_mean: mean(|r| r.mean_trials),
+            tv_mean: mean(|r| r.tv_from_uniform),
+            tv_worst: records
+                .iter()
+                .map(|r| r.tv_from_uniform)
+                .fold(0.0, f64::max),
+            chi_square_p_min: chi.iter().copied().reduce(f64::min).unwrap_or(-1.0),
+            chi_square_p_max: chi.iter().copied().reduce(f64::max).unwrap_or(-1.0),
+            byzantine_population_share_mean: mean(|r| r.byzantine_population_share),
+            byzantine_sample_share_mean: mean(|r| r.byzantine_sample_share),
+            committee_capture_p_mean: mean(|r| r.committee_capture_p),
+            committee_capture_p_uniform_mean: mean(|r| r.committee_capture_p_uniform),
+            quorum_failures_mean: mean(|r| r.quorum_failures as f64),
+            finger_staleness_mean: mean(|r| r.finger_staleness),
+            maintenance_backlog_mean: mean(|r| r.maintenance_backlog as f64),
+            hop_p99_mean: mean(|r| r.hop_p99 as f64),
+            hop_p99_max: max(|r| r.hop_p99),
+            draw_msgs_p99_mean: mean(|r| r.draw_msgs_p99 as f64),
+            draw_msgs_p99_max: max(|r| r.draw_msgs_p99),
+            watchdog_windows_mean: mean(|r| r.watchdog_windows as f64),
+            health_breaches_mean: mean(|r| r.health_breaches as f64),
+            time_to_detect_max: worst_detect(|r| r.time_to_detect),
+            time_to_recover_min: best_recover(|r| r.time_to_recover),
+            outage_draws_sum: sum(|r| r.outage_draws),
             outage_success_ratio_mean: if records.is_empty() {
                 1.0
             } else {
-                outage_ratio.mean()
+                mean(|r| r.outage_success_ratio)
             },
-            outage_success_ratio_min: outage_ratio_min,
-            engine_lookups_sum,
-            engine_completed_sum,
-            engine_timeouts_sum,
-            engine_age_p999_mean: engine_age_p999.mean(),
-            engine_age_p999_max,
-            engine_ttd_max: if engine_any_undetected || engine_ttd_max == i64::MIN {
-                -1
-            } else {
-                engine_ttd_max
-            },
-            engine_ttr_min: if engine_ttr_min == i64::MAX {
-                0
-            } else {
-                engine_ttr_min
-            },
-            exemplar_count_sum,
+            outage_success_ratio_min: records
+                .iter()
+                .map(|r| r.outage_success_ratio)
+                .fold(1.0, f64::min),
+            engine_lookups_sum: sum(|r| r.engine_lookups),
+            engine_completed_sum: sum(|r| r.engine_completed),
+            engine_timeouts_sum: sum(|r| r.engine_timeouts),
+            engine_age_p999_mean: mean(|r| r.engine_age_p999 as f64),
+            engine_age_p999_max: max(|r| r.engine_age_p999),
+            engine_ttd_max: worst_detect(|r| r.engine_ttd),
+            engine_ttr_min: best_recover(|r| r.engine_ttr),
+            exemplar_count_sum: sum(|r| r.exemplar_count),
             top_span,
             top_span_cost,
             span_costs,
             series_mean,
-            counters,
+            counters: sum_maps(|r| &r.counters),
         }
     }
 }

@@ -209,17 +209,6 @@ impl Recorder {
         }
     }
 
-    /// Sum of all counters whose name starts with `prefix`.
-    pub fn sum_prefixed(&self, prefix: &str) -> u64 {
-        let names = self.counter_names.lock();
-        names
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.starts_with(prefix))
-            .map(|(i, _)| self.counters[i].load(Ordering::Relaxed))
-            .sum()
-    }
-
     /// Deterministically ordered snapshot of every counter with a nonzero
     /// value (matching the legacy `Metrics` behaviour, where only touched
     /// names appeared).
@@ -586,17 +575,6 @@ mod tests {
         let snap = r.snapshot();
         assert_eq!(snap.len(), 1);
         assert_eq!(snap["hit"], 1);
-    }
-
-    #[test]
-    fn sum_prefixed_matches_legacy_semantics() {
-        let r = Recorder::new();
-        r.add(r.counter("lookup.hops"), 3);
-        r.add(r.counter("lookup.start"), 1);
-        r.add(r.counter("stabilize"), 10);
-        assert_eq!(r.sum_prefixed("lookup."), 4);
-        assert_eq!(r.sum_prefixed(""), 14);
-        assert_eq!(r.sum_prefixed("nothing"), 0);
     }
 
     #[test]
