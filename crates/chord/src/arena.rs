@@ -564,27 +564,27 @@ impl<'a> Fingers<'a> {
     /// triples covering all bits. Iterating runs instead of bits is the
     /// cheap way to enumerate the table's ~log n *distinct* values.
     pub fn runs(&self) -> impl Iterator<Item = (usize, usize, Option<NodeId>)> + 'a {
-        let this = *self;
-        let n = if this.mask == 0 { 0 } else { this.vals.len() };
-        (0..n).map(move |run| {
-            let mut mask = this.mask;
-            for _ in 0..run {
-                mask &= mask - 1;
-            }
+        // One value per set mask bit: each run's start is the lowest
+        // remaining bit, its end the next one (or the table's end).
+        let bits = self.bits;
+        let mut mask = self.mask;
+        self.vals.iter().map(move |&v| {
             let start = mask.trailing_zeros() as usize;
-            let rest = mask & (mask - 1);
-            let end = if rest == 0 {
-                this.bits
+            mask &= mask - 1;
+            let end = if mask == 0 {
+                bits
             } else {
-                rest.trailing_zeros() as usize
+                mask.trailing_zeros() as usize
             };
-            (start, end, decode(this.vals[run]).map(NodeId::from_index))
+            (start, end, decode(v).map(NodeId::from_index))
         })
     }
 
     /// The distinct populated values, in run order.
     pub fn distinct(&self) -> impl Iterator<Item = NodeId> + 'a {
-        self.runs().filter_map(|(_, _, v)| v)
+        self.vals
+            .iter()
+            .filter_map(|&v| decode(v).map(NodeId::from_index))
     }
 
     /// All logical entries collected into the old owned representation.

@@ -156,6 +156,30 @@ impl Pending {
     }
 }
 
+/// Every tag submitted to an engine: all tags below `floor`, plus the
+/// sparse `above`. Sequential tags only advance `floor`, so the common
+/// [`LookupEngine::submit`] path inserts into no tree.
+#[derive(Default)]
+struct SeenTags {
+    floor: u64,
+    above: BTreeSet<u64>,
+}
+
+impl SeenTags {
+    /// Records `tag`; false if it was already recorded.
+    fn insert(&mut self, tag: u64) -> bool {
+        if tag != self.floor {
+            return tag > self.floor && self.above.insert(tag);
+        }
+        self.floor += 1;
+        while self.above.first() == Some(&self.floor) {
+            self.above.pop_first();
+            self.floor += 1;
+        }
+        true
+    }
+}
+
 /// The deterministic async lookup event loop. See the module docs.
 ///
 /// The engine holds no borrow of the network: every method takes
@@ -167,10 +191,12 @@ pub struct LookupEngine {
     config: EngineConfig,
     queue: EventQueue<Message>,
     now: SimTime,
-    pending: BTreeMap<u64, Pending>,
+    /// Boxed so tree nodes stay small: a request entering or leaving
+    /// moves pointers, not whole `Pending` values.
+    pending: BTreeMap<u64, Box<Pending>>,
     backlog: VecDeque<(u64, NodeId, Point)>,
     completions: Vec<Completion>,
-    seen_tags: BTreeSet<u64>,
+    seen_tags: SeenTags,
     slow: Option<SlowOverlay>,
     next_tag: u64,
 }
@@ -184,7 +210,7 @@ impl LookupEngine {
             pending: BTreeMap::new(),
             backlog: VecDeque::new(),
             completions: Vec::new(),
-            seen_tags: BTreeSet::new(),
+            seen_tags: SeenTags::default(),
             slow: None,
             next_tag: 0,
         }
@@ -340,7 +366,7 @@ impl LookupEngine {
             current: from,
             timeouts: 0,
         };
-        self.pending.insert(tag, p);
+        self.pending.insert(tag, Box::new(p));
         self.follow(net, tag, step, SimDuration::ZERO);
     }
 
@@ -517,4 +543,22 @@ impl LookupEngine {
 /// A node's arena index as carried in a [`Message`].
 fn arena_index(id: NodeId) -> u32 {
     u32::try_from(id.index()).expect("arena indexes fit u32")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn seen_tags_catch_every_repeat_in_any_order() {
+        let mut seen = SeenTags::default();
+        for tag in [3, 0, 5, 1, 2, 4, 9] {
+            assert!(seen.insert(tag), "first sight of {tag}");
+        }
+        assert_eq!(seen.floor, 6);
+        for tag in [0, 3, 5, 9] {
+            assert!(!seen.insert(tag), "repeat of {tag}");
+        }
+        assert!(seen.insert(6) && seen.insert(7));
+    }
 }

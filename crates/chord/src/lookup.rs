@@ -1,6 +1,6 @@
 use core::fmt;
 
-use keyspace::Point;
+use keyspace::{Distance, Point};
 use peer_sampling::Cost;
 use rand::Rng;
 use telemetry::{FallbackTier, HopRecord, LookupTrace, TraceOutcome};
@@ -600,11 +600,46 @@ impl ChordNetwork {
         HopOutcome::Forward(next_hop)
     }
 
+    /// `at`'s routing candidates in input order: the distinct finger
+    /// values in run order, then the successor list. A node may appear
+    /// more than once.
+    fn routing_candidates(&self, at: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        let node = self.node(at);
+        node.fingers().distinct().chain(node.successors().iter())
+    }
+
+    /// `c`'s clockwise distance from `at` if `c` lies strictly inside
+    /// (`at`, `target`), the only candidates that make progress.
+    #[inline]
+    fn preceding_distance(
+        &self,
+        at: NodeId,
+        at_point: Point,
+        target: Point,
+        c: NodeId,
+    ) -> Option<Distance> {
+        let p = self.node(c).point();
+        (c != at && self.between_open(at_point, p, target))
+            .then(|| self.space().distance(at_point, p))
+    }
+
     /// The closest node preceding `target` among `at`'s fingers and
     /// successor list, probing candidates from closest-preceding downward
     /// and skipping dead ones (each probe costs a message). `skip`
     /// accumulates latency burnt on probes of score-demoted candidates
     /// that were dead anyway, for span attribution.
+    ///
+    /// The probe order is a contract: take the [`routing_candidates`]
+    /// strictly inside (`at`, `target`), stable-sort them by distance
+    /// from `at`, drop consecutive duplicates, stable-sort score-penalized
+    /// ones to the front, and probe from the back — so a healthy lower
+    /// finger is tried before a closer but flaky one. The first probe is
+    /// therefore the candidate maximising (not penalized, distance), the
+    /// later one in input order on ties. One allocation-free pass picks
+    /// it — on a static ring it is the only probe — and the rest of the
+    /// order is built only after it finds a dead node.
+    ///
+    /// [`routing_candidates`]: ChordNetwork::routing_candidates
     fn closest_preceding<R: Rng + ?Sized>(
         &self,
         at: NodeId,
@@ -615,56 +650,75 @@ impl ChordNetwork {
     ) -> Option<NodeId> {
         let at_point = self.node(at).point();
         let latency_model = self.config().latency();
+        let scores = self.scores();
 
-        // Collect candidates strictly inside (at, target), dedup, order by
-        // distance from `at` descending (closest to target first). The
-        // finger table is iterated by its ~log n *distinct* run values
-        // rather than all 64 bit entries — same candidate set after the
-        // dedup below, a fraction of the scanning.
-        let node = self.node(at);
-        let mut candidates: Vec<NodeId> = node
-            .fingers()
-            .distinct()
-            .chain(node.successors().iter())
-            .filter(|&c| c != at && self.between_open(at_point, self.node(c).point(), target))
-            .collect();
-        candidates.sort_by_key(|&c| self.space().distance(at_point, self.node(c).point()));
-        candidates.dedup();
+        // `>=` keeps the later of equally ranked candidates.
+        let first = {
+            let scores = scores.map(|s| s.borrow());
+            let mut best = None;
+            for c in self.routing_candidates(at) {
+                let Some(d) = self.preceding_distance(at, at_point, target, c) else {
+                    continue;
+                };
+                let rank = (!scores.as_ref().is_some_and(|s| s.penalized(c)), d);
+                if best.is_none_or(|(_, top)| rank >= top) {
+                    best = Some((c, rank));
+                }
+            }
+            best
+        };
 
-        // Adaptive ranking: candidates the score table currently holds
-        // penalized sink to the *front* of the vec — the probe loop below
-        // walks it back-to-front, so they are tried last and a healthy
-        // lower finger level (or successor-list entry) is preferred over
-        // a closer-but-flaky one. The sort is stable, so within each
-        // class the closest-preceding order is untouched; with scoring
-        // disabled this block is skipped and the routing is byte-identical
-        // to the pre-adaptive overlay.
-        if let Some(scores) = self.scores() {
-            let scores = scores.borrow();
-            candidates.sort_by_key(|&c| !scores.penalized(c));
-        }
-
-        for &cand in candidates.iter().rev() {
+        let mut probe = |cand: NodeId| {
             cost.messages += 1;
             let probe_latency = latency_model.sample(rng).ticks();
             cost.latency += probe_latency;
-            let was_penalized = self
-                .scores()
-                .map(|s| s.borrow().penalized(cand))
-                .unwrap_or(false);
+            let was_penalized = scores.is_some_and(|s| s.borrow().penalized(cand));
             let alive = self.node(cand).is_alive();
-            if let Some(scores) = self.scores() {
+            if let Some(scores) = scores {
                 scores.borrow_mut().record(cand, alive);
             }
-            if alive {
-                return Some(cand);
+            if !alive {
+                if was_penalized {
+                    *skip += probe_latency;
+                }
+                self.metrics()
+                    .recorder()
+                    .incr(self.counters().lookup_dead_probe);
             }
-            if was_penalized {
-                *skip += probe_latency;
+            alive
+        };
+
+        if let Some((first, (first_healthy, _))) = first {
+            if probe(first) {
+                return Some(first);
             }
-            self.metrics()
-                .recorder()
-                .incr(self.counters().lookup_dead_probe);
+            // The first probe was dead: build the whole order and drop
+            // `first` from its back. `first` keeps the class it had before
+            // its probe, which may just have penalized it; no other score
+            // changed.
+            let mut order: Vec<(NodeId, Distance)> = self
+                .routing_candidates(at)
+                .filter_map(|c| Some((c, self.preceding_distance(at, at_point, target, c)?)))
+                .collect();
+            order.sort_by_key(|&(_, d)| d);
+            order.dedup();
+            if let Some(scores) = scores {
+                let scores = scores.borrow();
+                order.sort_by_key(|&(c, _)| {
+                    if c == first {
+                        first_healthy
+                    } else {
+                        !scores.penalized(c)
+                    }
+                });
+            }
+            let probed = order.pop();
+            debug_assert_eq!(probed.map(|(c, _)| c), Some(first));
+            for &(cand, _) in order.iter().rev() {
+                if probe(cand) {
+                    return Some(cand);
+                }
+            }
         }
         // No usable finger: fall back to the first live successor, which
         // always makes clockwise progress.
@@ -1299,5 +1353,330 @@ mod tests {
         assert!(LookupError::SuccessorsAllDead
             .to_string()
             .contains("partition"));
+    }
+
+    impl ChordNetwork {
+        /// The gather-first probe order `closest_preceding` replaced, kept
+        /// verbatim as its oracle: collect every candidate, sort by
+        /// distance, dedup, demote penalized candidates, then probe from the
+        /// back.
+        fn closest_preceding_reference<R: Rng + ?Sized>(
+            &self,
+            at: NodeId,
+            target: Point,
+            cost: &mut Cost,
+            skip: &mut u64,
+            rng: &mut R,
+        ) -> Option<NodeId> {
+            let at_point = self.node(at).point();
+            let latency_model = self.config().latency();
+
+            // Collect candidates strictly inside (at, target), dedup, order by
+            // distance from `at` descending (closest to target first). The
+            // finger table is iterated by its ~log n *distinct* run values
+            // rather than all 64 bit entries — same candidate set after the
+            // dedup below, a fraction of the scanning.
+            let node = self.node(at);
+            let mut candidates: Vec<NodeId> = node
+                .fingers()
+                .distinct()
+                .chain(node.successors().iter())
+                .filter(|&c| c != at && self.between_open(at_point, self.node(c).point(), target))
+                .collect();
+            candidates.sort_by_key(|&c| self.space().distance(at_point, self.node(c).point()));
+            candidates.dedup();
+
+            // Adaptive ranking: candidates the score table currently holds
+            // penalized sink to the *front* of the vec — the probe loop below
+            // walks it back-to-front, so they are tried last and a healthy
+            // lower finger level (or successor-list entry) is preferred over
+            // a closer-but-flaky one. The sort is stable, so within each
+            // class the closest-preceding order is untouched; with scoring
+            // disabled this block is skipped and the routing is byte-identical
+            // to the pre-adaptive overlay.
+            if let Some(scores) = self.scores() {
+                let scores = scores.borrow();
+                candidates.sort_by_key(|&c| !scores.penalized(c));
+            }
+
+            for &cand in candidates.iter().rev() {
+                cost.messages += 1;
+                let probe_latency = latency_model.sample(rng).ticks();
+                cost.latency += probe_latency;
+                let was_penalized = self
+                    .scores()
+                    .map(|s| s.borrow().penalized(cand))
+                    .unwrap_or(false);
+                let alive = self.node(cand).is_alive();
+                if let Some(scores) = self.scores() {
+                    scores.borrow_mut().record(cand, alive);
+                }
+                if alive {
+                    return Some(cand);
+                }
+                if was_penalized {
+                    *skip += probe_latency;
+                }
+                self.metrics()
+                    .recorder()
+                    .incr(self.counters().lookup_dead_probe);
+            }
+            // No usable finger: fall back to the first live successor, which
+            // always makes clockwise progress.
+            self.first_live_successor(at)
+                .filter(|&s| s != at)
+                .inspect(|_s| {
+                    cost.messages += 1;
+                    cost.latency += latency_model.sample(rng).ticks();
+                })
+        }
+    }
+
+    // ---- the probe-order contract: `closest_preceding` against the
+    // gather-first order it replaced.
+
+    /// A `KeySpace` ring of `n` peers under jittered latency (so every
+    /// probe draws from the rng), damaged with no repair: `crashes`
+    /// silent crashes, `joins` protocol joins, then `scrambles` finger
+    /// entries of live nodes pointed at arbitrary (possibly dead) nodes —
+    /// stale, non-monotone tables with repeated values. Pure in its
+    /// arguments, so two calls build two equal networks.
+    fn damaged_ring(
+        space: KeySpace,
+        n: usize,
+        seed: u64,
+        damage: (usize, usize, usize),
+        scoring: Option<crate::AdaptiveConfig>,
+    ) -> ChordNetwork {
+        let (crashes, joins, scrambles) = damage;
+        let mut r = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut net = ChordNetwork::bootstrap(
+            space,
+            space.random_points(&mut r, n),
+            ChordConfig::default().with_latency(simnet::LatencyModel::Uniform { lo: 1, hi: 9 }),
+        );
+        if let Some(config) = scoring {
+            net.enable_adaptive_routing(config);
+        }
+        for _ in 0..crashes.min(n - 2) {
+            let live = net.live_slice();
+            net.crash(live[r.gen_range(0..live.len())]);
+        }
+        for _ in 0..joins {
+            let live = net.live_slice();
+            let via = live[r.gen_range(0..live.len())];
+            let _ = net.join(space.random_point(&mut r), via, &mut r);
+        }
+        let all = net.node_ids();
+        for _ in 0..scrambles {
+            let live = net.live_slice();
+            let id = live[r.gen_range(0..live.len())];
+            let bit = r.gen_range(0..net.finger_bits());
+            let to = all[r.gen_range(0..all.len())];
+            net.write_finger(id, bit, Some(to));
+        }
+        net
+    }
+
+    /// What one `closest_preceding` call leaves behind, beyond its answer.
+    #[derive(Debug, PartialEq)]
+    struct ProbeEffects {
+        next: Option<NodeId>,
+        cost: Cost,
+        skip: u64,
+        rng: rand::rngs::StdRng,
+        dead_probes: u64,
+        scores: Vec<(u8, u8)>,
+    }
+
+    fn effects(
+        net: &ChordNetwork,
+        next: Option<NodeId>,
+        cost: Cost,
+        skip: u64,
+        rng: &rand::rngs::StdRng,
+    ) -> ProbeEffects {
+        let scores = net.scores().map_or(Vec::new(), |s| {
+            let s = s.borrow();
+            net.node_ids()
+                .into_iter()
+                .map(|id| (s.score(id), s.consecutive_failures(id)))
+                .collect()
+        });
+        ProbeEffects {
+            next,
+            cost,
+            skip,
+            rng: rng.clone(),
+            dead_probes: net.metrics().get("lookup.dead_probe"),
+            scores,
+        }
+    }
+
+    /// Runs `calls` probes from random live nodes towards random targets
+    /// on `fast` (the one-pass `closest_preceding`) and `reference` (the
+    /// gather-first order), which start equal, and checks every effect
+    /// stays equal. Returns how many calls probed a dead node and how
+    /// many had candidates that were all dead.
+    fn assert_same_probes(
+        fast: &ChordNetwork,
+        reference: &ChordNetwork,
+        seed: u64,
+        calls: usize,
+    ) -> (usize, usize) {
+        let mut pick = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut fast_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x5EED);
+        let mut ref_rng = fast_rng.clone();
+        let (mut dead_calls, mut exhausted_calls) = (0, 0);
+        for call in 0..calls {
+            let live = fast.live_slice();
+            let at = live[pick.gen_range(0..live.len())];
+            let target = fast.space().random_point(&mut pick);
+            let before = fast.metrics().get("lookup.dead_probe");
+            let at_point = fast.node(at).point();
+            let mut candidates = fast
+                .routing_candidates(at)
+                .filter(|&c| fast.preceding_distance(at, at_point, target, c).is_some())
+                .peekable();
+            let all_dead =
+                candidates.peek().is_some() && candidates.all(|c| !fast.node(c).is_alive());
+            let (mut cost, mut skip) = (Cost::FREE, 0);
+            let next = fast.closest_preceding(at, target, &mut cost, &mut skip, &mut fast_rng);
+            let got = effects(fast, next, cost, skip, &fast_rng);
+            let (mut cost, mut skip) = (Cost::FREE, 0);
+            let next = reference.closest_preceding_reference(
+                at,
+                target,
+                &mut cost,
+                &mut skip,
+                &mut ref_rng,
+            );
+            let want = effects(reference, next, cost, skip, &ref_rng);
+            assert_eq!(got, want, "call {call}: at {at}, target {target:?}");
+            dead_calls += usize::from(got.dead_probes > before);
+            exhausted_calls += usize::from(all_dead);
+        }
+        (dead_calls, exhausted_calls)
+    }
+
+    /// Scores that penalize a peer after one failed probe, and an EWMA
+    /// floor high enough that a few failures keep it penalized.
+    fn touchy_scoring() -> crate::AdaptiveConfig {
+        crate::AdaptiveConfig {
+            ewma_shift: 2,
+            penalty_floor: 200,
+            fail_threshold: 1,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn first_probe_scan_keeps_the_probe_order_on_stale_rings(
+            seed in proptest::prelude::any::<u64>(),
+            crashes in 0usize..80,
+            joins in 0usize..40,
+            scrambles in 0usize..400,
+            scoring in proptest::prelude::any::<bool>(),
+        ) {
+            let scoring = scoring.then(touchy_scoring);
+            let build = || damaged_ring(KeySpace::full(), 160, seed, (crashes, joins, scrambles), scoring);
+            assert_same_probes(&build(), &build(), seed, 400);
+        }
+
+        #[test]
+        fn first_probe_scan_keeps_the_probe_order_on_colliding_points(
+            seed in proptest::prelude::any::<u64>(),
+            crashes in 0usize..20,
+            joins in 0usize..30,
+            scrambles in 0usize..200,
+            scoring in proptest::prelude::any::<bool>(),
+        ) {
+            // 48 peers on 64 points: many share a point with another.
+            let space = KeySpace::with_modulus(64).unwrap();
+            let scoring = scoring.then(touchy_scoring);
+            let build = || damaged_ring(space, 48, seed, (crashes, joins, scrambles), scoring);
+            assert_same_probes(&build(), &build(), seed, 400);
+        }
+
+        #[test]
+        fn first_probe_scan_keeps_the_probe_order_with_penalized_candidates(
+            seed in proptest::prelude::any::<u64>(),
+            crashes in 20usize..60,
+            scrambles in 0usize..300,
+        ) {
+            let build = || {
+                let net = damaged_ring(KeySpace::full(), 128, seed, (crashes, 0, scrambles), Some(touchy_scoring()));
+                // Warm the score tables with routed lookups so many
+                // candidates start out penalized.
+                let mut r = rand::rngs::StdRng::seed_from_u64(seed);
+                for _ in 0..200 {
+                    let live = net.live_slice();
+                    let from = live[r.gen_range(0..live.len())];
+                    let _ = net.find_successor(from, net.space().random_point(&mut r), &mut r);
+                }
+                net
+            };
+            let (fast, reference) = (build(), build());
+            let penalized = fast.node_ids().into_iter().filter(|&id| fast.peer_penalized(id)).count();
+            proptest::prop_assert!(penalized > 0, "the warm-up must penalize someone");
+            assert_same_probes(&fast, &reference, seed, 400);
+        }
+
+        #[test]
+        fn first_probe_scan_keeps_the_probe_order_when_every_candidate_is_dead(
+            seed in proptest::prelude::any::<u64>(),
+            scoring in proptest::prelude::any::<bool>(),
+        ) {
+            // Nine in ten peers crash with no repair: most hops find every
+            // finger and successor dead and fall through to the fallback.
+            let scoring = scoring.then(touchy_scoring);
+            let build = || damaged_ring(KeySpace::full(), 200, seed, (180, 0, 0), scoring);
+            let (dead_calls, exhausted_calls) = assert_same_probes(&build(), &build(), seed, 300);
+            proptest::prop_assert!(dead_calls > 0 && exhausted_calls > 0);
+        }
+    }
+
+    /// FNV-1a over 10k lookups — owner, hops, messages, latency, or the
+    /// error — on a churned 2k-node ring with adaptive scoring on and
+    /// jittered latency. Pins the probe order, the rng draws and the
+    /// score feedback end to end.
+    #[test]
+    fn churned_ring_lookup_digest_is_pinned() {
+        let space = KeySpace::full();
+        let mut net = damaged_ring(
+            space,
+            2_000,
+            77,
+            (300, 100, 0),
+            Some(crate::AdaptiveConfig::default()),
+        );
+        let mut r = rand::rngs::StdRng::seed_from_u64(78);
+        net.batched_maintenance_round(crate::MaintenanceBudget::per_round(400), &mut r);
+        let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut fold = |v: u64| {
+            for byte in v.to_le_bytes() {
+                digest = (digest ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for _ in 0..10_000 {
+            let live = net.live_slice();
+            let from = live[r.gen_range(0..live.len())];
+            match net.find_successor(from, space.random_point(&mut r), &mut r) {
+                Ok(hit) => {
+                    fold(hit.node.index() as u64);
+                    fold(hit.hops as u64);
+                    fold(hit.cost.messages);
+                    fold(hit.cost.latency);
+                }
+                Err(_) => fold(u64::MAX),
+            }
+        }
+        assert!(net.metrics().get("lookup.dead_probe") > 0);
+        assert_eq!(
+            digest, 0x1f82_fb37_dd6c_3acc,
+            "probe order, rng use or score feedback changed"
+        );
     }
 }

@@ -685,7 +685,7 @@ impl ChordNetwork {
         self.recompute_sp(id.0);
     }
 
-    fn write_finger(&mut self, id: NodeId, bit: usize, val: Option<NodeId>) {
+    pub(crate) fn write_finger(&mut self, id: NodeId, bit: usize, val: Option<NodeId>) {
         if self.arena.set_finger(id.0, bit, val.map(|v| v.0)) {
             self.recompute_finger(id.0, bit);
         }

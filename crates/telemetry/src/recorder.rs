@@ -87,6 +87,21 @@ impl HistSlot {
         }
     }
 
+    /// Folds `value` into the extrema. Each read-modify-write runs only
+    /// when a relaxed load shows `value` would move its bound: a racing
+    /// writer can only tighten a bound, so a skipped update would have
+    /// been a no-op, and the steady state pays two loads instead of two
+    /// compare-and-swap loops.
+    #[inline]
+    fn widen(&self, value: u64) {
+        if value < self.min.load(Ordering::Relaxed) {
+            self.min.fetch_min(value, Ordering::Relaxed);
+        }
+        if value > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(value, Ordering::Relaxed);
+        }
+    }
+
     /// Drains this window's exemplars (bucket-sorted) and reopens every
     /// slot for the next window.
     fn take_exemplars(&self) -> Vec<Exemplar> {
@@ -249,8 +264,7 @@ impl Recorder {
     pub fn record(&self, id: HistogramId, value: u64) {
         let slot = &self.hist_slots[id.0 as usize];
         slot.buckets()[LogHistogram::bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        slot.min.fetch_min(value, Ordering::Relaxed);
-        slot.max.fetch_max(value, Ordering::Relaxed);
+        slot.widen(value);
     }
 
     /// Records one observation and offers `trace_id` as its bucket's
@@ -265,8 +279,7 @@ impl Recorder {
         let slot = &self.hist_slots[id.0 as usize];
         let bucket = LogHistogram::bucket_index(value);
         slot.buckets()[bucket].fetch_add(1, Ordering::Relaxed);
-        slot.min.fetch_min(value, Ordering::Relaxed);
-        slot.max.fetch_max(value, Ordering::Relaxed);
+        slot.widen(value);
         slot.offer_exemplar(bucket, value, trace_id);
     }
 
@@ -740,5 +753,48 @@ mod tests {
         }
         assert_eq!(r.counter_value(c), 8000);
         assert_eq!(r.histogram_snapshot(h).count(), 8000);
+    }
+
+    #[test]
+    fn racing_records_keep_exact_extrema_and_buckets() {
+        // Each thread sweeps the value range from its own offset, so the
+        // threads keep moving both bounds while the others record; the
+        // guarded min/max updates must still land exactly. The barrier
+        // starts every thread's records together.
+        const THREADS: u64 = 6;
+        const PER_THREAD: u64 = 5_000;
+        let value = |t: u64, i: u64| (i * 7919 + t * 104_729) % 1_000_003 + t;
+        let r = std::sync::Arc::new(Recorder::new());
+        let h = r.histogram("racing");
+        let start = std::sync::Arc::new(std::sync::Barrier::new(THREADS as usize));
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (r, start) = (r.clone(), start.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    for i in 0..PER_THREAD {
+                        if i % 2 == 0 {
+                            r.record(h, value(t, i));
+                        } else {
+                            r.record_with_exemplar(h, value(t, i), i);
+                        }
+                    }
+                })
+            })
+            .collect();
+        for handle in handles {
+            handle.join().unwrap();
+        }
+        let mut expected = LogHistogram::new();
+        for t in 0..THREADS {
+            for i in 0..PER_THREAD {
+                expected.record(value(t, i));
+            }
+        }
+        let got = r.histogram_snapshot(h);
+        assert_eq!(got.count(), THREADS * PER_THREAD);
+        assert_eq!(got.min(), expected.min());
+        assert_eq!(got.max(), expected.max());
+        assert_eq!(got.bucket_counts(), expected.bucket_counts());
     }
 }
