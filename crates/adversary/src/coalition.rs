@@ -82,7 +82,8 @@ pub struct CompiledCoalition {
 
 impl CompiledCoalition {
     /// Total coalition size (sybils + corrupted incumbents).
-    pub fn size(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn size(&self) -> usize {
         self.sybil_points.len() + self.corrupt_existing
     }
 }

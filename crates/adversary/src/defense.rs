@@ -106,11 +106,6 @@ impl DefendedSampler {
         }
     }
 
-    /// The wrapped plain sampler.
-    pub fn sampler(&self) -> &Sampler {
-        &self.inner
-    }
-
     /// The configuration in use.
     pub fn config(&self) -> &SamplerConfig {
         self.inner.config()
@@ -191,14 +186,15 @@ impl DefendedSampler {
     }
 
     /// Runs the deterministic part of one defended trial for a fixed
-    /// start point `s` (exposed for tests and per-trial telemetry).
+    /// start point `s`.
     ///
     /// # Errors
     ///
     /// [`SampleError::Config`] — `λ` is zero on this key space. (View
     /// lookup errors are *not* propagated: a failing view simply does not
     /// vote, and a vote-less round is a quorum-failed rejection.)
-    pub fn trial<D: Dht>(
+    #[cfg(test)]
+    pub(crate) fn trial<D: Dht>(
         &self,
         views: &[&D],
         s: Point,

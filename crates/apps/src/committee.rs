@@ -122,7 +122,8 @@ pub fn simulate_elections(
 /// # Panics
 ///
 /// Panics if sizes are zero or every election fails.
-pub fn simulate_elections_via<F>(
+#[cfg(test)]
+pub(crate) fn simulate_elections_via<F>(
     mut draw: F,
     committee_size: usize,
     elections: u32,

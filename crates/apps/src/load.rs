@@ -18,12 +18,14 @@ pub struct LoadAssignment {
 
 impl LoadAssignment {
     /// Per-peer task counts.
-    pub fn loads(&self) -> &[u64] {
+    #[cfg(test)]
+    pub(crate) fn loads(&self) -> &[u64] {
         &self.loads
     }
 
     /// Total tasks assigned.
-    pub fn tasks(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn tasks(&self) -> u64 {
         self.tasks
     }
 
@@ -33,7 +35,8 @@ impl LoadAssignment {
     }
 
     /// The mean load.
-    pub fn mean_load(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn mean_load(&self) -> f64 {
         if self.loads.is_empty() {
             0.0
         } else {

@@ -64,109 +64,6 @@ pub fn poll(
     }
 }
 
-/// Result of polling a numeric per-peer quantity.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MeanPollResult {
-    /// Sample mean of the polled values.
-    pub estimate: f64,
-    /// True population mean.
-    pub truth: f64,
-    /// Standard error of the estimate (sample std-dev / √k).
-    pub std_error: f64,
-    /// Peers polled.
-    pub sample_size: usize,
-}
-
-impl MeanPollResult {
-    /// Signed estimation error.
-    pub fn error(&self) -> f64 {
-        self.estimate - self.truth
-    }
-
-    /// Whether the truth lies within `z` standard errors of the estimate
-    /// (`z = 1.96` for a 95% normal interval).
-    pub fn covers_truth(&self, z: f64) -> bool {
-        (self.estimate - self.truth).abs() <= z * self.std_error
-    }
-}
-
-/// Polls a numeric per-peer quantity — the paper's "environmental data,
-/// e.g. for sensor networks" use case — returning the sample mean with
-/// its standard error.
-///
-/// # Panics
-///
-/// Panics if `values.len() != sampler.len()`, the population is empty,
-/// `sample_size < 2`, or any value is not finite.
-pub fn poll_mean(
-    sampler: &dyn IndexSampler,
-    values: &[f64],
-    sample_size: usize,
-    rng: &mut dyn RngCore,
-) -> MeanPollResult {
-    assert_eq!(
-        values.len(),
-        sampler.len(),
-        "value vector must cover every peer"
-    );
-    assert!(!values.is_empty(), "population is empty");
-    assert!(
-        sample_size >= 2,
-        "need at least two observations for a std error"
-    );
-    let mut acc = stats::Welford::new();
-    for _ in 0..sample_size {
-        acc.push(values[sampler.sample_index(rng)]);
-    }
-    let truth = values.iter().sum::<f64>() / values.len() as f64;
-    MeanPollResult {
-        estimate: acc.mean(),
-        truth,
-        std_error: acc.std_error(),
-        sample_size,
-    }
-}
-
-/// Polls a boolean attribute and returns a Wilson confidence interval for
-/// the population fraction alongside the point estimate.
-///
-/// Under a *uniform* sampler the interval has its nominal coverage; under
-/// a biased sampler it confidently covers the wrong value — the quiet
-/// failure mode the paper's data-collection motivation warns about.
-///
-/// # Panics
-///
-/// As [`poll`], plus `confidence` must be in `(0, 1)`.
-pub fn poll_with_ci(
-    sampler: &dyn IndexSampler,
-    attribute: &[bool],
-    sample_size: usize,
-    confidence: f64,
-    rng: &mut dyn RngCore,
-) -> (PollResult, stats::proportion::ProportionCi) {
-    assert_eq!(
-        attribute.len(),
-        sampler.len(),
-        "attribute vector must cover every peer"
-    );
-    assert!(!attribute.is_empty(), "population is empty");
-    assert!(sample_size > 0, "must poll at least one peer");
-    let mut hits = 0u64;
-    for _ in 0..sample_size {
-        if attribute[sampler.sample_index(rng)] {
-            hits += 1;
-        }
-    }
-    let truth = attribute.iter().filter(|&&b| b).count() as f64 / attribute.len() as f64;
-    let result = PollResult {
-        estimate: hits as f64 / sample_size as f64,
-        truth,
-        sample_size,
-    };
-    let ci = stats::proportion::wilson(hits, sample_size as u64, confidence);
-    (result, ci)
-}
-
 /// Assigns the attribute to the `⌈fraction·n⌉` peers with the **longest**
 /// preceding arcs.
 ///
@@ -308,73 +205,5 @@ mod tests {
     #[should_panic(expected = "outside [0, 1]")]
     fn bad_fraction_panics() {
         let _ = arc_correlated_attribute(&ring(5, 9), 1.5);
-    }
-
-    #[test]
-    fn poll_mean_unbiased_under_uniform_sampler() {
-        // Numeric quantity correlated with arc length (sensor reading).
-        let r = ring(300, 20);
-        let values: Vec<f64> = (0..300)
-            .map(|i| r.space().fraction(r.arc_before(i)) * 300.0)
-            .collect();
-        let sampler = TrueUniform::new(300);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(21);
-        let result = poll_mean(&sampler, &values, 10_000, &mut rng);
-        assert!((result.truth - 1.0).abs() < 1e-9, "arc fractions sum to 1");
-        assert!(
-            result.covers_truth(3.0),
-            "estimate {} ± {} missed truth {}",
-            result.estimate,
-            result.std_error,
-            result.truth
-        );
-        assert_eq!(result.sample_size, 10_000);
-    }
-
-    #[test]
-    fn poll_mean_biased_under_naive_sampler() {
-        let r = ring(300, 22);
-        let values: Vec<f64> = (0..300)
-            .map(|i| r.space().fraction(r.arc_before(i)) * 300.0)
-            .collect();
-        let sampler = NaiveSampler::new(r);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(23);
-        let result = poll_mean(&sampler, &values, 10_000, &mut rng);
-        // The naive sampler over-weights exactly the peers with large
-        // values, so the error is many standard errors wide.
-        assert!(result.error() > 0.3, "bias too small: {}", result.error());
-        assert!(!result.covers_truth(3.0));
-    }
-
-    #[test]
-    fn poll_with_ci_covers_under_uniform() {
-        let r = ring(400, 24);
-        let attr = arc_correlated_attribute(&r, 0.25);
-        let sampler = TrueUniform::new(400);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(25);
-        let (result, ci) = poll_with_ci(&sampler, &attr, 5_000, 0.99, &mut rng);
-        assert!(ci.contains(result.truth), "{ci} missed {}", result.truth);
-    }
-
-    #[test]
-    fn poll_with_ci_confidently_wrong_under_naive() {
-        let r = ring(400, 26);
-        let attr = arc_correlated_attribute(&r, 0.25);
-        let sampler = NaiveSampler::new(r);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(27);
-        let (result, ci) = poll_with_ci(&sampler, &attr, 5_000, 0.99, &mut rng);
-        assert!(
-            !ci.contains(result.truth),
-            "a biased poll should be confidently wrong: {ci} vs truth {}",
-            result.truth
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "two observations")]
-    fn poll_mean_needs_two_samples() {
-        let sampler = TrueUniform::new(5);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(28);
-        let _ = poll_mean(&sampler, &[1.0; 5], 1, &mut rng);
     }
 }

@@ -45,7 +45,8 @@ impl NaiveSampler {
     }
 
     /// The ring being sampled.
-    pub fn ring(&self) -> &SortedRing {
+    #[cfg(test)]
+    pub(crate) fn ring(&self) -> &SortedRing {
         &self.ring
     }
 

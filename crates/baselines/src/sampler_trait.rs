@@ -106,8 +106,7 @@ pub struct KingSaiaIndexSampler {
 impl KingSaiaIndexSampler {
     /// Builds the sampler over a ring, configured with the true peer count
     /// (experiments isolating distributional properties from estimation
-    /// error use this; pass an estimate-based config via
-    /// [`with_config`](KingSaiaIndexSampler::with_config) otherwise).
+    /// error use this).
     ///
     /// # Panics
     ///
@@ -121,14 +120,9 @@ impl KingSaiaIndexSampler {
         }
     }
 
-    /// Overrides the sampler configuration.
-    pub fn with_config(mut self, config: SamplerConfig) -> KingSaiaIndexSampler {
-        self.sampler = Sampler::new(config);
-        self
-    }
-
     /// The underlying DHT view.
-    pub fn dht(&self) -> &OracleDht {
+    #[cfg(test)]
+    pub(crate) fn dht(&self) -> &OracleDht {
         &self.dht
     }
 }
@@ -188,17 +182,6 @@ mod tests {
         assert_eq!(s.len(), 50);
         assert!(s.cost_per_sample_hint() > 0.0);
         assert_eq!(s.dht().len(), 50);
-    }
-
-    #[test]
-    fn king_saia_with_custom_config() {
-        let space = KeySpace::full();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let ring = SortedRing::new(space, space.random_points(&mut rng, 20));
-        let s = KingSaiaIndexSampler::from_ring(ring).with_config(SamplerConfig::new(40)); // over-estimate: still correct
-        for _ in 0..50 {
-            assert!(s.sample_index(&mut rng) < 20);
-        }
     }
 
     #[test]

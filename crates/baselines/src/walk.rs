@@ -89,17 +89,20 @@ impl RandomWalkSampler {
     }
 
     /// The walk length (= message cost per sample).
-    pub fn length(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn length(&self) -> usize {
         self.length
     }
 
     /// The transition rule.
-    pub fn kind(&self) -> WalkKind {
+    #[cfg(test)]
+    pub(crate) fn kind(&self) -> WalkKind {
         self.kind
     }
 
     /// The overlay being walked.
-    pub fn graph(&self) -> &OverlayGraph {
+    #[cfg(test)]
+    pub(crate) fn graph(&self) -> &OverlayGraph {
         &self.graph
     }
 

@@ -419,7 +419,8 @@ impl<'a> NodeRef<'a> {
     }
 
     /// The first entry of the successor list, if any.
-    pub fn successor(&self) -> Option<NodeId> {
+    #[cfg(test)]
+    pub(crate) fn successor(&self) -> Option<NodeId> {
         self.successors().first()
     }
 
@@ -488,7 +489,8 @@ impl<'a> Successors<'a> {
     }
 
     /// Whether `id` appears in the list.
-    pub fn contains(&self, id: NodeId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn contains(&self, id: NodeId) -> bool {
         self.ids.iter().any(|&s| s as usize == id.index())
     }
 
@@ -534,14 +536,9 @@ pub struct Fingers<'a> {
 
 impl<'a> Fingers<'a> {
     /// Number of logical entries (`⌈log₂ M⌉`).
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.bits
-    }
-
-    /// Whether the table has zero logical entries (never true for a real
-    /// ring; present for API completeness).
-    pub fn is_empty(&self) -> bool {
-        self.bits == 0
     }
 
     /// Entry `bit`: the believed successor of `point + 2^bit`.
@@ -555,7 +552,8 @@ impl<'a> Fingers<'a> {
     }
 
     /// All logical entries in bit order.
-    pub fn iter(&self) -> impl Iterator<Item = Option<NodeId>> + 'a {
+    #[cfg(test)]
+    pub(crate) fn iter(&self) -> impl Iterator<Item = Option<NodeId>> + 'a {
         let this = *self;
         (0..self.bits).map(move |b| this.get(b))
     }
@@ -585,11 +583,6 @@ impl<'a> Fingers<'a> {
         self.vals
             .iter()
             .filter_map(|&v| decode(v).map(NodeId::from_index))
-    }
-
-    /// All logical entries collected into the old owned representation.
-    pub fn to_vec(&self) -> Vec<Option<NodeId>> {
-        self.iter().collect()
     }
 }
 

@@ -118,7 +118,8 @@ impl<'a> ChordDht<'a> {
     }
 
     /// The fault plan in effect (empty for an honest view).
-    pub fn fault_plan(&self) -> &FaultPlan {
+    #[cfg(test)]
+    pub(crate) fn fault_plan(&self) -> &FaultPlan {
         &self.faults
     }
 

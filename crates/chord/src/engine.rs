@@ -221,11 +221,6 @@ impl LookupEngine {
         self.slow = slow;
     }
 
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
     /// Requests admitted and not yet completed.
     pub fn in_flight(&self) -> usize {
         self.pending.len()

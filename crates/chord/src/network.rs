@@ -562,11 +562,6 @@ impl ChordNetwork {
         self.retry
     }
 
-    /// Whether adaptive peer scoring is enabled.
-    pub fn adaptive_enabled(&self) -> bool {
-        self.scores.is_some()
-    }
-
     /// Shared view of the peer-score table (`None` until
     /// [`enable_adaptive_routing`](ChordNetwork::enable_adaptive_routing)).
     pub(crate) fn scores(&self) -> Option<&RefCell<PeerScores>> {
@@ -575,7 +570,8 @@ impl ChordNetwork {
 
     /// Current EWMA responsiveness score of `id` (max = 255; 255 also for
     /// peers never probed, and always when scoring is disabled).
-    pub fn peer_score(&self, id: NodeId) -> u8 {
+    #[cfg(test)]
+    pub(crate) fn peer_score(&self, id: NodeId) -> u8 {
         self.scores
             .as_ref()
             .map_or(crate::score::SCORE_MAX, |s| s.borrow().score(id))
@@ -583,7 +579,8 @@ impl ChordNetwork {
 
     /// Whether `id` is currently ranked penalized-last by adaptive
     /// routing (always `false` when scoring is disabled).
-    pub fn peer_penalized(&self, id: NodeId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn peer_penalized(&self, id: NodeId) -> bool {
         self.scores
             .as_ref()
             .is_some_and(|s| s.borrow().penalized(id))
@@ -972,7 +969,8 @@ impl ChordNetwork {
     ///
     /// Panics if the overlay already has live nodes (join via a gateway
     /// instead).
-    pub fn create(&mut self, point: Point) -> NodeId {
+    #[cfg(test)]
+    pub(crate) fn create(&mut self, point: Point) -> NodeId {
         assert_eq!(self.live_len(), 0, "use join() on a non-empty overlay");
         let id = self.push_node(point);
         // A lone node is its own successor (Chord's base case).
@@ -1493,6 +1491,11 @@ impl ChordNetwork {
     /// too large for [`verify_ring_full`](ChordNetwork::verify_ring_full)
     /// to be pleasant.
     ///
+    /// Also returns the ring points of the sampled nodes that failed any
+    /// check (wrong successor, wrong predecessor, or a stale populated
+    /// finger), in ring-rank order. The health watchdog pins its breach
+    /// events on these.
+    ///
     /// Each live node is checked **at most once** per call: the sample is
     /// without replacement by construction (a sparse Fisher–Yates over
     /// the live ranks), so `k >=` the live count degrades to exactly
@@ -1501,17 +1504,7 @@ impl ChordNetwork {
     /// rings the two reports are identical. O(k) time and memory; the
     /// live set is never cloned (this runs on rings where an O(n) copy
     /// per poll is the thing being avoided).
-    pub fn verify_ring_sampled<R: Rng + ?Sized>(&self, k: usize, rng: &mut R) -> RingReport {
-        self.verify_ring_sampled_attributed(k, rng).0
-    }
-
-    /// [`verify_ring_sampled`](ChordNetwork::verify_ring_sampled) with
-    /// per-node attribution: also returns the ring points of the sampled
-    /// nodes that failed any check (wrong successor, wrong predecessor,
-    /// or a stale populated finger), in ring-rank order. The health
-    /// watchdog pins its breach events on these. Consumes the RNG
-    /// identically to the unattributed form.
-    pub fn verify_ring_sampled_attributed<R: Rng + ?Sized>(
+    pub fn verify_ring_sampled<R: Rng + ?Sized>(
         &self,
         k: usize,
         rng: &mut R,
@@ -1887,12 +1880,12 @@ mod tests {
     fn sampled_verification_agrees_on_a_converged_ring() {
         let net = bootstrap(128, 22);
         let mut r = rng();
-        let report = net.verify_ring_sampled(32, &mut r);
+        let report = net.verify_ring_sampled(32, &mut r).0;
         assert_eq!(report.live, 32);
         assert!(report.is_converged(), "{report:?}");
         assert!((report.finger_accuracy - 1.0).abs() < 1e-12);
         // Oversampling clamps to the live count.
-        assert_eq!(net.verify_ring_sampled(10_000, &mut r).live, 128);
+        assert_eq!(net.verify_ring_sampled(10_000, &mut r).0.live, 128);
     }
 
     #[test]
@@ -1910,7 +1903,7 @@ mod tests {
         for seed in 0..50 {
             let mut r = rand::rngs::StdRng::seed_from_u64(seed);
             // k > live count clamps to full coverage, each node once.
-            let sampled = net.verify_ring_sampled(1_000, &mut r);
+            let sampled = net.verify_ring_sampled(1_000, &mut r).0;
             assert_eq!(sampled, full, "seed {seed}");
         }
     }
@@ -1924,7 +1917,7 @@ mod tests {
         let net = bootstrap(16, 32);
         let mut r = rng();
         for k in [1, 7, 8, 15, 16] {
-            let report = net.verify_ring_sampled(k, &mut r);
+            let report = net.verify_ring_sampled(k, &mut r).0;
             assert_eq!(report.live, k);
             assert_eq!(report.correct_successors, k, "k = {k}");
             assert_eq!(report.correct_predecessors, k, "k = {k}");

@@ -74,11 +74,6 @@ impl PeerScores {
         }
     }
 
-    /// The tuning in effect.
-    pub fn config(&self) -> AdaptiveConfig {
-        self.config
-    }
-
     fn ensure(&mut self, peer: NodeId) {
         let need = peer.index() + 1;
         if self.ewma.len() < need {

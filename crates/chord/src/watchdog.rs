@@ -319,11 +319,6 @@ impl Watchdog {
         }
     }
 
-    /// The active rule parameters.
-    pub fn config(&self) -> &SloConfig {
-        &self.config
-    }
-
     /// Observes one closed window: stamps gauges, evaluates every rule,
     /// stores the window, and emits breach/recovery events (also mirrored
     /// into `net`'s recorder health log). `draw_counts`, when given, is
@@ -359,8 +354,7 @@ impl Watchdog {
 
         // Sampled spot-check runs every window (fixed RNG consumption),
         // with per-node defect attribution.
-        let (report, mut defects) =
-            net.verify_ring_sampled_attributed(self.config.sample_k, &mut self.rng);
+        let (report, mut defects) = net.verify_ring_sampled(self.config.sample_k, &mut self.rng);
         let defect_rate = defects.len() as f64 / report.live.max(1) as f64;
         defects.truncate(ATTRIBUTION_CAP);
         let staleness = 1.0 - report.finger_accuracy;

@@ -156,7 +156,8 @@ impl SamplerConfig {
     }
 
     /// The configured population upper bound `n′`.
-    pub fn n_upper(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn n_upper(&self) -> u64 {
         self.n_upper
     }
 

@@ -111,11 +111,6 @@ impl NetworkSizeEstimator {
         NetworkSizeEstimator { c1 }
     }
 
-    /// The probe multiplier.
-    pub fn c1(&self) -> f64 {
-        self.c1
-    }
-
     /// Runs *Estimate n* from peer `origin`.
     ///
     /// # Errors
@@ -261,7 +256,6 @@ mod tests {
         let few = NetworkSizeEstimator::new(2.0).estimate(&dht, 0).unwrap();
         let many = NetworkSizeEstimator::new(32.0).estimate(&dht, 0).unwrap();
         assert!(many.probes > few.probes);
-        assert_eq!(NetworkSizeEstimator::new(2.0).c1(), 2.0);
     }
 
     #[test]

@@ -103,7 +103,8 @@ pub enum TrialOutcome<P> {
 
 impl<P: Copy> TrialOutcome<P> {
     /// The accepted peer, if any.
-    pub fn accepted_peer(&self) -> Option<P> {
+    #[cfg(test)]
+    pub(crate) fn accepted_peer(&self) -> Option<P> {
         match *self {
             TrialOutcome::Accepted { peer, .. } => Some(peer),
             TrialOutcome::Rejected { .. } => None,
@@ -111,14 +112,16 @@ impl<P: Copy> TrialOutcome<P> {
     }
 
     /// `next` steps consumed by the scan.
-    pub fn steps(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn steps(&self) -> u32 {
         match *self {
             TrialOutcome::Accepted { steps, .. } | TrialOutcome::Rejected { steps, .. } => steps,
         }
     }
 
     /// Messages/latency consumed by the scan.
-    pub fn cost(&self) -> Cost {
+    #[cfg(test)]
+    pub(crate) fn cost(&self) -> Cost {
         match *self {
             TrialOutcome::Accepted { cost, .. } | TrialOutcome::Rejected { cost, .. } => cost,
         }

@@ -31,7 +31,7 @@ use core::fmt;
 use keyspace::{KeySpace, Point};
 use rand::Rng;
 
-use crate::{Cost, Dht, SampleError, Sampler, SamplerConfig};
+use crate::{Cost, Dht, SampleError, Sampler};
 
 /// A locally computable per-peer measure `λ(p)`, in ring points.
 ///
@@ -172,12 +172,14 @@ impl WeightedSampler {
     }
 
     /// The scan bound.
-    pub fn step_bound(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn step_bound(&self) -> u32 {
         self.step_bound
     }
 
     /// The retry cap.
-    pub fn max_trials(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn max_trials(&self) -> u32 {
         self.max_trials
     }
 
@@ -305,21 +307,6 @@ impl From<Sampler> for WeightedSampler {
     }
 }
 
-/// Convenience: the uniform weight equivalent to a [`SamplerConfig`] on a
-/// given space (for cross-checking the two samplers against each other).
-///
-/// # Errors
-///
-/// Returns the config's own error if `λ` vanishes.
-pub fn uniform_weight_of(
-    config: &SamplerConfig,
-    space: KeySpace,
-) -> Result<UniformWeight, crate::ConfigError> {
-    Ok(UniformWeight {
-        lambda: config.lambda(space)?,
-    })
-}
-
 impl fmt::Display for WeightedSampler {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -333,7 +320,7 @@ impl fmt::Display for WeightedSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::OracleDht;
+    use crate::{OracleDht, SamplerConfig};
     use keyspace::SortedRing;
     use rand::SeedableRng;
 
@@ -497,14 +484,6 @@ mod tests {
         assert_eq!(weighted.max_trials(), 9);
         assert_eq!(weighted.step_bound(), sampler.config().step_bound());
         assert!(weighted.to_string().contains("max_trials = 9"));
-    }
-
-    #[test]
-    fn uniform_weight_of_matches_config_lambda() {
-        let space = KeySpace::with_modulus(1 << 20).unwrap();
-        let config = SamplerConfig::new(100);
-        let w = uniform_weight_of(&config, space).unwrap();
-        assert_eq!(w.lambda, config.lambda(space).unwrap());
     }
 
     #[test]

@@ -51,11 +51,6 @@ impl Distance {
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }
-
-    /// Saturating difference of two distances (`self - other`, floored at 0).
-    pub const fn saturating_sub(self, other: Distance) -> Distance {
-        Distance(self.0.saturating_sub(other.0))
-    }
 }
 
 impl fmt::Display for Distance {
@@ -94,12 +89,6 @@ mod tests {
         assert!(Distance::ZERO.is_zero());
         assert!(!Distance::new(1).is_zero());
         assert_eq!(Distance::default(), Distance::ZERO);
-    }
-
-    #[test]
-    fn saturating_sub_floors_at_zero() {
-        assert_eq!(Distance::new(5).saturating_sub(Distance::new(3)).get(), 2);
-        assert_eq!(Distance::new(3).saturating_sub(Distance::new(5)).get(), 0);
     }
 
     #[test]

@@ -44,11 +44,6 @@ impl Interval {
     pub const fn end(self) -> Point {
         self.end
     }
-
-    /// Whether the interval is degenerate (`start == end`, hence empty).
-    pub fn is_empty(self) -> bool {
-        self.start == self.end
-    }
 }
 
 impl fmt::Display for Interval {
@@ -66,12 +61,6 @@ mod tests {
         let i = Interval::new(Point::new(3), Point::new(9));
         assert_eq!(i.start(), Point::new(3));
         assert_eq!(i.end(), Point::new(9));
-        assert!(!i.is_empty());
-    }
-
-    #[test]
-    fn degenerate_is_empty() {
-        assert!(Interval::new(Point::new(5), Point::new(5)).is_empty());
     }
 
     #[test]

@@ -148,14 +148,6 @@ impl SortedRing {
         }
     }
 
-    /// The rank reached from `index` by `k` applications of `next` —
-    /// the paper's `next^(k)(p)`.
-    pub fn next_k(&self, index: usize, k: usize) -> usize {
-        assert!(index < self.points.len());
-        let n = self.points.len();
-        (index + k % n) % n
-    }
-
     /// Arc length from peer `index` clockwise to its successor:
     /// `d(l(p), l(next(p)))`. This is the arc the naive heuristic implicitly
     /// assigns to `next(p)`.
@@ -207,21 +199,6 @@ impl SortedRing {
             return None;
         }
         self.arcs().max()
-    }
-
-    /// Sum of `count` consecutive arcs starting with `arc_after(start)`,
-    /// as a `u128` (sums may exceed one full turn if `count > len()`).
-    ///
-    /// Lemma 4 lower-bounds these window sums for `count = 6 ln n`.
-    pub fn window_arc_sum(&self, start: usize, count: usize) -> u128 {
-        assert!(start < self.points.len());
-        let mut total = 0u128;
-        let mut i = start;
-        for _ in 0..count {
-            total += self.arc_after(i).to_u128();
-            i = self.next_index(i);
-        }
-        total
     }
 }
 
@@ -346,16 +323,6 @@ mod tests {
     }
 
     #[test]
-    fn next_k_matches_repeated_next() {
-        let r = ring();
-        let mut i = 2;
-        for k in 0..10 {
-            assert_eq!(r.next_k(2, k), i, "k = {k}");
-            i = r.next_index(i);
-        }
-    }
-
-    #[test]
     fn arcs_partition_the_circle() {
         let r = ring();
         let total: u128 = r.arcs().map(Distance::to_u128).sum();
@@ -385,15 +352,6 @@ mod tests {
         assert!(r.max_arc().is_none());
         let empty = SortedRing::new(space(), vec![]);
         assert!(empty.min_arc().is_none());
-    }
-
-    #[test]
-    fn window_arc_sum_wraps() {
-        let r = ring();
-        assert_eq!(r.window_arc_sum(0, 4), 100);
-        assert_eq!(r.window_arc_sum(2, 3), 25 + 15 + 30);
-        // More than a full turn.
-        assert_eq!(r.window_arc_sum(0, 8), 200);
     }
 
     #[test]

@@ -214,19 +214,6 @@ impl KeySpace {
         distance.get() as f64 / self.modulus as f64
     }
 
-    /// The discrete arc closest to a continuous fraction `f ∈ [0, 1)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `f` is not in `[0, 1)` or is not finite.
-    pub fn distance_from_fraction(&self, f: f64) -> Distance {
-        assert!(
-            f.is_finite() && (0.0..1.0).contains(&f),
-            "fraction {f} outside [0, 1)"
-        );
-        Distance::new((f * self.modulus as f64) as u64)
-    }
-
     #[inline]
     fn debug_check(&self, point: Point) {
         debug_assert!(
@@ -375,14 +362,6 @@ mod tests {
     fn fraction_conversions() {
         let s = small();
         assert_eq!(s.fraction(Distance::new(25)), 0.25);
-        assert_eq!(s.distance_from_fraction(0.25).get(), 25);
-        assert_eq!(s.distance_from_fraction(0.0).get(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside [0, 1)")]
-    fn fraction_out_of_range_panics() {
-        let _ = small().distance_from_fraction(1.0);
     }
 
     #[test]

@@ -126,8 +126,9 @@ pub struct SeedRunRecord {
     /// backends, which have no routing state to go stale).
     pub finger_staleness: f64,
     /// Dirty entries the batched maintenance left unrepaired at sampling
-    /// time — the staleness a finite `MaintenanceSpec::Batched` budget
-    /// buys its savings with. 0 on oracle backends and under
+    /// time. `MaintenanceSpec::BatchedDrain` drains the whole dirty set
+    /// each tick, so this reads the repairs still failing or re-marked
+    /// at the sample point. 0 on oracle backends and under
     /// `MaintenanceSpec::FullRefresh` (the classic path has no dirty
     /// queue to drain).
     pub maintenance_backlog: u64,
@@ -435,11 +436,6 @@ fn run_oracle(
                         }
                     }
                 }
-                // Domain outages are injected by the harness at draw
-                // checkpoints (see the chord path), never through the
-                // schedule, so these never reach the oracle replay.
-                simnet::churn::ChurnKind::DomainCrash { .. }
-                | simnet::churn::ChurnKind::DomainHeal { .. } => {}
             }
         }
     }
@@ -1949,5 +1945,69 @@ mod tests {
             assert!(r.engine_digest.is_empty());
             assert!(!r.series.contains_key("engine_age_p99"));
         }
+    }
+
+    #[test]
+    fn outage_driver_crashes_whole_domains_and_heals_them_in_place() {
+        let space = KeySpace::full();
+        let mut rng = StdRng::seed_from_u64(17);
+        let points = space.random_points(&mut rng, 96);
+        let mut net = ChordNetwork::bootstrap(space, points, ChordConfig::default());
+        let spec = crate::FailureDomainSpec {
+            domains: 8,
+            crash_domains: 2,
+            outage_start: 0.25,
+            outage_end: 0.75,
+        };
+        let mut driver = OutageDriver::new(&spec, space, 400);
+        let anchor = net
+            .live_ids()
+            .into_iter()
+            .find(|&id| !driver.in_crashed_domains(net.node(id).point()))
+            .expect("the ring outlives the outage");
+        let events = |net: &ChordNetwork| {
+            net.metrics()
+                .recorder()
+                .counter_value(net.counters().domain_events)
+        };
+        let mut crashed: Vec<(Point, NodeId)> = net
+            .live_ids()
+            .into_iter()
+            .map(|id| (net.node(id).point(), id))
+            .filter(|&(p, id)| id != anchor && driver.in_crashed_domains(p))
+            .collect();
+        crashed.sort_unstable();
+        assert!(!crashed.is_empty(), "a quarter of the ring holds nodes");
+
+        driver.apply_crash(&mut net, anchor);
+        assert_eq!(events(&net), 2, "one event per crashed domain");
+        assert!(net
+            .live_ids()
+            .into_iter()
+            .all(|id| id == anchor || !driver.in_crashed_domains(net.node(id).point())));
+        let mut downed = driver.downed.clone();
+        downed.sort_unstable();
+        assert_eq!(downed, crashed, "downed holds exactly the crashed points");
+
+        let aliases = driver.apply_heal(&mut net, anchor, &mut rng);
+        assert_eq!(events(&net), 4, "the heal edge counts each domain again");
+        assert!(driver.downed.is_empty());
+        for (&rejoined, &original) in &aliases {
+            assert!(net.node(rejoined).is_alive());
+            let point = net.node(rejoined).point();
+            assert!(
+                crashed.contains(&(point, original)),
+                "{rejoined:?} must alias the pre-outage id at its point"
+            );
+        }
+        // On a quick ring every rejoin succeeds: each downed point is
+        // live again, under exactly one alias.
+        assert_eq!(aliases.len(), crashed.len());
+        let live_points: Vec<Point> = net
+            .live_ids()
+            .into_iter()
+            .map(|id| net.node(id).point())
+            .collect();
+        assert!(crashed.iter().all(|(p, _)| live_points.contains(p)));
     }
 }

@@ -259,16 +259,6 @@ pub enum MaintenanceSpec {
     /// each tick: amortized O(changes · log n) work per round. The only
     /// way 10⁷-node chord arms fit a wall-clock budget.
     BatchedDrain,
-    /// Batched incremental maintenance under a per-tick entry cap:
-    /// at most `budget_per_round` dirty entries (stale
-    /// successor/predecessor flags + finger levels) repaired per tick.
-    /// Deliberately lets a backlog stand, trading staleness (surfaced as
-    /// `maintenance_backlog` / `finger_staleness` in records) for work;
-    /// `0` is pure staleness.
-    Batched {
-        /// Dirty entries repaired per maintenance tick.
-        budget_per_round: u32,
-    },
 }
 
 impl MaintenanceSpec {
@@ -278,9 +268,6 @@ impl MaintenanceSpec {
         match self {
             MaintenanceSpec::FullRefresh => None,
             MaintenanceSpec::BatchedDrain => Some(chord::MaintenanceBudget::unlimited()),
-            MaintenanceSpec::Batched { budget_per_round } => {
-                Some(chord::MaintenanceBudget::per_round(budget_per_round))
-            }
         }
     }
 }
@@ -343,7 +330,8 @@ pub struct FailureDomainSpec {
 
 impl FailureDomainSpec {
     /// Fraction of the ring (by sector measure) the outage takes down.
-    pub fn crashed_fraction(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn crashed_fraction(&self) -> f64 {
         f64::from(self.crash_domains) / f64::from(self.domains.max(1))
     }
 }
@@ -722,7 +710,8 @@ impl ScenarioSpec {
     }
 
     /// The coordinated-eclipse coalition at 10% of the population.
-    pub fn preset_eclipse_run() -> ScenarioSpec {
+    #[cfg(test)]
+    pub(crate) fn preset_eclipse_run() -> ScenarioSpec {
         ScenarioSpec::preset_coalition(CoalitionStrategySpec::EclipseRun, 0.10)
     }
 
@@ -1183,7 +1172,7 @@ mod tests {
             "workload": {"draws": 100, "estimate_n": true},
             "sampler": {"n_upper_inflation": 2.0, "max_trials": 64},
             "chord": {"successor_list_len": 4, "stabilize_every_ticks": 100,
-                      "maintenance": {"Batched": {"budget_per_round": 32}}},
+                      "maintenance": "BatchedDrain"},
             "telemetry": {"trace_lookups": true, "flight_recorder_capacity": 16},
             "adaptive": {"peer_scoring": false, "retry": false},
             "backends": ["Oracle", "Chord"]
@@ -1199,15 +1188,38 @@ mod tests {
         assert_eq!(spec.engine, None);
         assert_eq!(spec.chord.latency, None);
         assert!(!spec.adaptive.is_active());
-        assert_eq!(
-            spec.chord.maintenance,
-            MaintenanceSpec::Batched {
-                budget_per_round: 32
-            }
-        );
+        assert_eq!(spec.chord.maintenance, MaintenanceSpec::BatchedDrain);
         assert!(spec.telemetry.trace_lookups);
         assert_eq!(spec.telemetry.flight_recorder_capacity, 16);
         spec.validate().unwrap();
+    }
+
+    #[test]
+    fn batched_maintenance_budget_is_rejected_at_parse_time() {
+        // The per-round budget knob is gone: a spec naming it must fail
+        // to parse, not silently fall back to another maintenance mode.
+        let text = r#"{
+            "name": "tiny",
+            "n_initial": 32,
+            "placement": "Uniform",
+            "adversary": "Honest",
+            "defense": "None",
+            "churn": "Static",
+            "workload": {"draws": 100, "estimate_n": true},
+            "sampler": {"n_upper_inflation": 2.0, "max_trials": 64},
+            "chord": {"successor_list_len": 4, "stabilize_every_ticks": 100,
+                      "maintenance": {"Batched": {"budget_per_round": 32}}},
+            "telemetry": {"trace_lookups": false, "flight_recorder_capacity": 16},
+            "adaptive": {"peer_scoring": false, "retry": false},
+            "backends": ["Oracle", "Chord"]
+        }"#;
+        assert!(serde_json::from_str::<ScenarioSpec>(text).is_err());
+        let drained = text.replace(
+            r#"{"Batched": {"budget_per_round": 32}}"#,
+            r#""BatchedDrain""#,
+        );
+        let spec: ScenarioSpec = serde_json::from_str(&drained).unwrap();
+        assert_eq!(spec.chord.maintenance, MaintenanceSpec::BatchedDrain);
     }
 
     #[test]
@@ -1232,16 +1244,7 @@ mod tests {
 
     #[test]
     fn maintenance_specs_roundtrip_and_compile_to_budgets() {
-        let variants = [
-            MaintenanceSpec::FullRefresh,
-            MaintenanceSpec::BatchedDrain,
-            MaintenanceSpec::Batched {
-                budget_per_round: 0,
-            },
-            MaintenanceSpec::Batched {
-                budget_per_round: 128,
-            },
-        ];
+        let variants = [MaintenanceSpec::FullRefresh, MaintenanceSpec::BatchedDrain];
         for m in variants {
             let json = serde_json::to_string(&m).unwrap();
             let back: MaintenanceSpec = serde_json::from_str(&json).unwrap();
@@ -1251,13 +1254,6 @@ mod tests {
         assert_eq!(
             MaintenanceSpec::BatchedDrain.budget(),
             Some(chord::MaintenanceBudget::unlimited())
-        );
-        assert_eq!(
-            MaintenanceSpec::Batched {
-                budget_per_round: 7
-            }
-            .budget(),
-            Some(chord::MaintenanceBudget::per_round(7))
         );
         // The default tuning keeps the classic path: batching is opt-in.
         assert_eq!(

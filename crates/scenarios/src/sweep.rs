@@ -302,7 +302,8 @@ pub struct SweepReport {
 
 impl SweepReport {
     /// Compact JSON.
-    pub fn to_json(&self) -> String {
+    #[cfg(test)]
+    pub(crate) fn to_json(&self) -> String {
         serde_json::to_string(self).expect("sweep reports always serialize")
     }
 

@@ -13,9 +13,7 @@
 //! one sector when the cluster count divides the domain count) and —
 //! deliberately — makes a domain crash the *worst case* for Chord:
 //! a crashed sector is a contiguous dead arc, exactly the shape that
-//! defeats an `r`-deep successor list. An explicit
-//! [`DomainMap::from_labels`] flavor covers deployments whose racks are
-//! interleaved around the ring instead.
+//! defeats an `r`-deep successor list.
 //!
 //! # Example
 //!
@@ -32,15 +30,8 @@
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DomainMap {
     domains: u32,
-    labeling: Labeling,
-}
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Labeling {
-    /// Contiguous equal sectors of a ring with this modulus.
-    Sectors { modulus: u128 },
-    /// Explicit per-index labels (index order is the caller's contract).
-    Labels(Vec<u32>),
+    /// Modulus of the ring the equal contiguous sectors divide.
+    modulus: u128,
 }
 
 impl DomainMap {
@@ -57,26 +48,7 @@ impl DomainMap {
             modulus >= u128::from(domains),
             "modulus {modulus} cannot split into {domains} non-empty sectors"
         );
-        DomainMap {
-            domains,
-            labeling: Labeling::Sectors { modulus },
-        }
-    }
-
-    /// Explicit labels: item `i` of `labels` is the domain of index `i`
-    /// (whatever the caller indexes by — placement order, join order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `labels` is empty or any label is out of range for the
-    /// implied domain count (`max + 1`).
-    pub fn from_labels(labels: Vec<u32>) -> DomainMap {
-        assert!(!labels.is_empty(), "a domain map needs at least one label");
-        let domains = labels.iter().copied().max().expect("non-empty") + 1;
-        DomainMap {
-            domains,
-            labeling: Labeling::Labels(labels),
-        }
+        DomainMap { domains, modulus }
     }
 
     /// Number of domains.
@@ -84,54 +56,18 @@ impl DomainMap {
         self.domains
     }
 
-    /// The domain of ring position `p` (sectoral maps) or of index `p`
-    /// (label maps).
+    /// The domain of ring position `p`.
     ///
     /// # Panics
     ///
-    /// Panics when `p` is outside the modulus (sectoral) or the label
-    /// table (explicit).
+    /// Panics when `p` is outside the modulus.
     pub fn domain_of(&self, p: u64) -> u32 {
-        match &self.labeling {
-            Labeling::Sectors { modulus } => {
-                assert!(
-                    u128::from(p) < *modulus,
-                    "point {p} outside modulus {modulus}"
-                );
-                (u128::from(p) * u128::from(self.domains) / modulus) as u32
-            }
-            Labeling::Labels(labels) => labels[usize::try_from(p).expect("index fits usize")],
-        }
-    }
-
-    /// Whether position/index `p` belongs to domain `d`.
-    pub fn contains(&self, d: u32, p: u64) -> bool {
-        self.domain_of(p) == d
-    }
-
-    /// The sector `[start, end)` of domain `d`, for sectoral maps.
-    ///
-    /// `end` is exclusive and may equal the modulus (the last sector).
-    /// Returns `None` for label maps (they have no arc geometry) or an
-    /// out-of-range `d`.
-    pub fn sector_bounds(&self, d: u32) -> Option<(u128, u128)> {
-        let Labeling::Sectors { modulus } = &self.labeling else {
-            return None;
-        };
-        if d >= self.domains {
-            return None;
-        }
-        // Inverse of `domain_of`: the smallest p with p·D/M ≥ d is
-        // ⌈d·M/D⌉.
-        let start = (u128::from(d) * modulus).div_ceil(u128::from(self.domains));
-        let end = (u128::from(d + 1) * modulus).div_ceil(u128::from(self.domains));
-        Some((start, end))
-    }
-
-    /// The fraction of the ring each domain covers (sectoral maps cover
-    /// `1/domains` each by construction).
-    pub fn domain_fraction(&self) -> f64 {
-        1.0 / f64::from(self.domains)
+        let modulus = self.modulus;
+        assert!(
+            u128::from(p) < modulus,
+            "point {p} outside modulus {modulus}"
+        );
+        (u128::from(p) * u128::from(self.domains) / modulus) as u32
     }
 }
 
@@ -157,44 +93,11 @@ mod tests {
     }
 
     #[test]
-    fn sector_bounds_invert_domain_of() {
-        let m = 1_000_003u128; // prime: sectors are uneven by one point
-        let map = DomainMap::sectors(7, m);
-        let mut covered = 0u128;
-        for d in 0..7 {
-            let (start, end) = map.sector_bounds(d).unwrap();
-            assert!(start < end);
-            covered += end - start;
-            assert_eq!(map.domain_of(start as u64), d, "start of sector {d}");
-            assert_eq!(map.domain_of((end - 1) as u64), d, "end of sector {d}");
-            if end < m {
-                assert_eq!(map.domain_of(end as u64), d + 1);
-            }
-        }
-        assert_eq!(covered, m, "sectors must partition the ring exactly");
-        assert_eq!(map.sector_bounds(7), None);
-    }
-
-    #[test]
     fn full_modulus_sectors_label_without_overflow() {
         let map = DomainMap::sectors(4, 1u128 << 64);
         assert_eq!(map.domain_of(0), 0);
         assert_eq!(map.domain_of(u64::MAX), 3);
         assert_eq!(map.domain_of(1u64 << 63), 2);
-        let (start, end) = map.sector_bounds(3).unwrap();
-        assert_eq!(end, 1u128 << 64);
-        assert_eq!(map.domain_of(start as u64), 3);
-    }
-
-    #[test]
-    fn labels_map_by_index() {
-        let map = DomainMap::from_labels(vec![0, 1, 1, 2, 0]);
-        assert_eq!(map.domains(), 3);
-        assert_eq!(map.domain_of(0), 0);
-        assert_eq!(map.domain_of(3), 2);
-        assert!(map.contains(1, 2));
-        assert!(!map.contains(1, 3));
-        assert_eq!(map.sector_bounds(0), None, "label maps have no arcs");
     }
 
     #[test]
@@ -208,11 +111,5 @@ mod tests {
     fn out_of_range_point_panics() {
         let map = DomainMap::sectors(2, 100);
         let _ = map.domain_of(100);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one label")]
-    fn empty_labels_panic() {
-        let _ = DomainMap::from_labels(vec![]);
     }
 }

@@ -192,16 +192,6 @@ impl WakeupSet {
     pub fn fires(&self, token: Wakeup) -> bool {
         self.generations[token.id as usize] == token.generation
     }
-
-    /// Number of allocated slots.
-    pub fn len(&self) -> usize {
-        self.generations.len()
-    }
-
-    /// Whether no slots have been allocated.
-    pub fn is_empty(&self) -> bool {
-        self.generations.is_empty()
-    }
 }
 
 #[cfg(test)]

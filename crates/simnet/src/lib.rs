@@ -14,10 +14,10 @@
 //! * [`rng`] — SplitMix64 seed derivation so every component of every
 //!   experiment gets an independent, reproducible random stream.
 //! * [`churn`] — Poisson join/leave workload generation for the E11
-//!   experiments, plus correlated domain-outage events.
+//!   experiments. Correlated outages are not churn events: the
+//!   scenario harness's outage driver crashes and heals whole domains.
 //! * [`DomainMap`] — rack/region failure-domain labels over ring
-//!   positions, addressed as units by the churn schedule's
-//!   domain-crash/partition events and by chord's domain fault plans.
+//!   positions, so a whole domain can be addressed as one unit.
 //!
 //! # Example: draining events in deterministic order
 //!

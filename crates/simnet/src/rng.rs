@@ -7,9 +7,6 @@
 //! purpose (it is what `java.util.SplittableRandom` and many simulators use
 //! for seeding).
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
 /// One SplitMix64 step: advances `state` and returns the next output.
 ///
 /// Passes BigCrush as a 64-bit mixer; used here only for seed derivation.
@@ -44,15 +41,9 @@ pub fn derive_seed(master: u64, stream: u64) -> u64 {
     splitmix64(&mut state)
 }
 
-/// A seeded [`StdRng`] for stream `stream` of `master`.
-pub fn stream_rng(master: u64, stream: u64) -> StdRng {
-    StdRng::seed_from_u64(derive_seed(master, stream))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
 
     #[test]
     fn splitmix_reference_vector() {
@@ -82,14 +73,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn stream_rngs_differ() {
-        let a: u64 = stream_rng(1, 0).gen();
-        let b: u64 = stream_rng(1, 1).gen();
-        assert_ne!(a, b);
-        let a2: u64 = stream_rng(1, 0).gen();
-        assert_eq!(a, a2);
     }
 }

@@ -159,12 +159,14 @@ impl ChiSquare {
     }
 
     /// The Pearson statistic `Σ (Oᵢ − Eᵢ)²/Eᵢ`.
-    pub fn statistic(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn statistic(&self) -> f64 {
         self.statistic
     }
 
     /// Degrees of freedom (`categories − 1`).
-    pub fn dof(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn dof(&self) -> u64 {
         self.dof
     }
 
@@ -175,7 +177,8 @@ impl ChiSquare {
     }
 
     /// Whether the null hypothesis is rejected at significance `alpha`.
-    pub fn rejects_at(&self, alpha: f64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn rejects_at(&self, alpha: f64) -> bool {
         self.p_value < alpha
     }
 }

@@ -55,27 +55,9 @@ impl Welford {
         self.max = self.max.max(x);
     }
 
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &Welford) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        self.mean += delta * other.count as f64 / total as f64;
-        self.m2 +=
-            other.m2 + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.count = total;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Number of observations.
-    pub fn count(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn count(&self) -> u64 {
         self.count
     }
 
@@ -108,7 +90,8 @@ impl Welford {
     }
 
     /// Standard error of the mean.
-    pub fn std_error(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn std_error(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -117,12 +100,14 @@ impl Welford {
     }
 
     /// Smallest observation (`+∞` when empty).
-    pub fn min(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn min(&self) -> f64 {
         self.min
     }
 
     /// Largest observation (`−∞` when empty).
-    pub fn max(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn max(&self) -> f64 {
         self.max
     }
 }
@@ -242,11 +227,6 @@ impl Summary {
     pub fn median(&self) -> f64 {
         self.percentile(50.0)
     }
-
-    /// Borrow the sorted samples.
-    pub fn sorted(&self) -> &[f64] {
-        &self.sorted
-    }
 }
 
 impl fmt::Display for Summary {
@@ -288,31 +268,6 @@ mod tests {
         assert_eq!(w.mean(), 0.0);
         assert_eq!(w.population_variance(), 0.0);
         assert_eq!(w.std_error(), 0.0);
-    }
-
-    #[test]
-    fn welford_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let sequential: Welford = xs.iter().copied().collect();
-        let mut left: Welford = xs[..37].iter().copied().collect();
-        let right: Welford = xs[37..].iter().copied().collect();
-        left.merge(&right);
-        assert_eq!(left.count(), sequential.count());
-        assert!((left.mean() - sequential.mean()).abs() < 1e-12);
-        assert!((left.sample_variance() - sequential.sample_variance()).abs() < 1e-9);
-        assert_eq!(left.min(), sequential.min());
-        assert_eq!(left.max(), sequential.max());
-    }
-
-    #[test]
-    fn welford_merge_with_empty() {
-        let mut a = Welford::new();
-        let b: Welford = [1.0, 2.0].into_iter().collect();
-        a.merge(&b);
-        assert_eq!(a.mean(), 1.5);
-        let mut c: Welford = [3.0].into_iter().collect();
-        c.merge(&Welford::new());
-        assert_eq!(c.count(), 1);
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //!
 //! * [`total_variation`] — `½ Σ |pᵢ − qᵢ|`, the probability mass that would
 //!   have to move; the metric used by Gkantsidis et al. for walk mixing.
-//! * [`kl_divergence`] — `Σ pᵢ ln(pᵢ/qᵢ)`.
 //! * [`max_min_ratio`] — the paper's §1 bias measure: the most-likely peer
 //!   of the naive heuristic is chosen `Θ(n log n)` times more often than the
 //!   least-likely one.
@@ -49,29 +48,6 @@ pub fn tv_from_uniform(counts: &[u64]) -> f64 {
     0.5 * p.iter().map(|&x| (x - u).abs()).sum::<f64>()
 }
 
-/// Kullback–Leibler divergence `D(p ‖ q) = Σ pᵢ ln(pᵢ/qᵢ)` in nats.
-///
-/// Terms with `pᵢ = 0` contribute 0. Returns `+∞` if `p` puts mass where
-/// `q` has none (absolute-continuity violation).
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn kl_divergence(p: &[f64], q: &[f64]) -> f64 {
-    assert_eq!(p.len(), q.len(), "distributions must have equal support");
-    let mut total = 0.0;
-    for (&pi, &qi) in p.iter().zip(q) {
-        if pi == 0.0 {
-            continue;
-        }
-        if qi == 0.0 {
-            return f64::INFINITY;
-        }
-        total += pi * (pi / qi).ln();
-    }
-    total.max(0.0)
-}
-
 /// Ratio of the largest to the smallest empirical probability.
 ///
 /// This is the paper's §1 bias measure. Returns `+∞` when some category was
@@ -90,19 +66,6 @@ pub fn max_min_ratio(counts: &[u64]) -> f64 {
     } else {
         max as f64 / min as f64
     }
-}
-
-/// L∞ distance `max |pᵢ − qᵢ|` between two distributions.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn l_infinity(p: &[f64], q: &[f64]) -> f64 {
-    assert_eq!(p.len(), q.len(), "distributions must have equal support");
-    p.iter()
-        .zip(q)
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0, f64::max)
 }
 
 #[cfg(test)]
@@ -147,34 +110,10 @@ mod tests {
     }
 
     #[test]
-    fn kl_properties() {
-        let p = [0.3, 0.7];
-        let q = [0.5, 0.5];
-        assert_eq!(kl_divergence(&p, &p), 0.0);
-        let d = kl_divergence(&p, &q);
-        assert!(d > 0.0);
-        // Manual: .3 ln(.6) + .7 ln(1.4)
-        let manual = 0.3 * (0.6f64).ln() + 0.7 * (1.4f64).ln();
-        assert!((d - manual).abs() < 1e-12);
-    }
-
-    #[test]
-    fn kl_zero_p_mass_skipped_zero_q_mass_infinite() {
-        assert_eq!(kl_divergence(&[0.0, 1.0], &[0.5, 0.5]), (2.0f64).ln());
-        assert_eq!(kl_divergence(&[0.5, 0.5], &[0.0, 1.0]), f64::INFINITY);
-    }
-
-    #[test]
     fn max_min_ratio_basic() {
         assert_eq!(max_min_ratio(&[10, 5, 20]), 4.0);
         assert_eq!(max_min_ratio(&[7, 7]), 1.0);
         assert_eq!(max_min_ratio(&[3, 0]), f64::INFINITY);
-    }
-
-    #[test]
-    fn l_infinity_basic() {
-        assert!((l_infinity(&[0.5, 0.5], &[0.2, 0.8]) - 0.3).abs() < 1e-12);
-        assert_eq!(l_infinity(&[0.5, 0.5], &[0.5, 0.5]), 0.0);
     }
 
     #[test]

@@ -1,62 +1,13 @@
-//! Entropy measures and the likelihood-ratio (G) test.
+//! The likelihood-ratio (G) test.
 //!
-//! A second, independent statistical lens on uniformity: Shannon entropy
-//! is maximized exactly by the uniform distribution, and the G-test is the
-//! likelihood-ratio counterpart of Pearson's chi-square (asymptotically
-//! equivalent, differently sensitive at finite samples). The experiment
-//! harness cross-checks its chi-square verdicts against these.
+//! A second, independent statistical lens on uniformity: the G-test is
+//! twice the sample size times the KL divergence of the observed
+//! frequencies from uniform, the likelihood-ratio counterpart of
+//! Pearson's chi-square (asymptotically equivalent, differently
+//! sensitive at finite samples). The calibration tests check that it
+//! tracks the chi-square test under the null.
 
 use crate::gamma::chi_square_sf;
-
-/// Shannon entropy `−Σ pᵢ ln pᵢ` in nats of a probability vector.
-///
-/// Zero-probability entries contribute 0.
-///
-/// # Panics
-///
-/// Panics if the vector is empty, has negative entries, or does not sum
-/// to 1 within `1e-9`.
-///
-/// # Example
-///
-/// ```
-/// use stats::entropy::shannon;
-///
-/// let uniform = [0.25; 4];
-/// assert!((shannon(&uniform) - 4f64.ln()).abs() < 1e-12);
-/// assert_eq!(shannon(&[1.0, 0.0]), 0.0);
-/// ```
-pub fn shannon(p: &[f64]) -> f64 {
-    assert!(!p.is_empty(), "entropy of an empty distribution");
-    let total: f64 = p.iter().sum();
-    assert!(
-        (total - 1.0).abs() < 1e-9,
-        "probabilities sum to {total}, not 1"
-    );
-    let mut h = 0.0;
-    for &pi in p {
-        assert!(pi >= 0.0, "negative probability {pi}");
-        if pi > 0.0 {
-            h -= pi * pi.ln();
-        }
-    }
-    h.max(0.0)
-}
-
-/// Entropy of an empirical count vector, normalized to `[0, 1]` by the
-/// maximum `ln n` — 1.0 iff perfectly uniform.
-///
-/// # Panics
-///
-/// Panics if `counts` is empty or all zero, or has a single category
-/// (normalization is undefined).
-pub fn normalized_from_counts(counts: &[u64]) -> f64 {
-    assert!(counts.len() >= 2, "need at least two categories");
-    let total: u128 = counts.iter().map(|&c| c as u128).sum();
-    assert!(total > 0, "all-zero counts");
-    let p: Vec<f64> = counts.iter().map(|&c| c as f64 / total as f64).collect();
-    shannon(&p) / (counts.len() as f64).ln()
-}
 
 /// The likelihood-ratio goodness-of-fit test (`G-test`) against a uniform
 /// expectation: `G = 2 Σ Oᵢ ln(Oᵢ/Eᵢ)`, asymptotically `χ²(n−1)`.
@@ -105,12 +56,14 @@ impl GTest {
     }
 
     /// The G statistic.
-    pub fn statistic(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn statistic(&self) -> f64 {
         self.statistic
     }
 
     /// Degrees of freedom.
-    pub fn dof(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn dof(&self) -> u64 {
         self.dof
     }
 
@@ -123,41 +76,6 @@ impl GTest {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shannon_known_values() {
-        assert_eq!(shannon(&[1.0]), 0.0);
-        assert!((shannon(&[0.5, 0.5]) - 2f64.ln()).abs() < 1e-12);
-        assert!((shannon(&[0.25; 4]) - 4f64.ln()).abs() < 1e-12);
-        // Entropy of (0.9, 0.1).
-        let h = -(0.9f64 * 0.9f64.ln() + 0.1 * 0.1f64.ln());
-        assert!((shannon(&[0.9, 0.1]) - h).abs() < 1e-12);
-    }
-
-    #[test]
-    fn uniform_maximizes_entropy() {
-        let u = shannon(&[0.25; 4]);
-        assert!(shannon(&[0.4, 0.3, 0.2, 0.1]) < u);
-        assert!(shannon(&[0.7, 0.1, 0.1, 0.1]) < u);
-    }
-
-    #[test]
-    fn normalized_counts_behave() {
-        assert!((normalized_from_counts(&[5, 5, 5, 5]) - 1.0).abs() < 1e-12);
-        assert!(normalized_from_counts(&[100, 1, 1, 1]) < 0.3);
-    }
-
-    #[test]
-    #[should_panic(expected = "sum to")]
-    fn non_normalized_panics() {
-        let _ = shannon(&[0.5, 0.6]);
-    }
-
-    #[test]
-    #[should_panic(expected = "two categories")]
-    fn single_category_normalized_panics() {
-        let _ = normalized_from_counts(&[5]);
-    }
 
     #[test]
     fn g_test_agrees_with_chi_square_in_regime() {

@@ -23,7 +23,8 @@ pub struct LineFit {
 
 impl LineFit {
     /// Predicted `y` at `x`.
-    pub fn predict(&self, x: f64) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn predict(&self, x: f64) -> f64 {
         self.slope * x + self.intercept
     }
 }

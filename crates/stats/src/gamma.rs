@@ -55,7 +55,8 @@ pub fn ln_gamma(x: f64) -> f64 {
 /// # Panics
 ///
 /// Panics if `a <= 0`, `x < 0`, or either argument is not finite.
-pub fn reg_lower_gamma(a: f64, x: f64) -> f64 {
+#[cfg(test)]
+pub(crate) fn reg_lower_gamma(a: f64, x: f64) -> f64 {
     check_incomplete_args(a, x);
     if x == 0.0 {
         return 0.0;

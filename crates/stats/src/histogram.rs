@@ -1,136 +1,5 @@
 use core::fmt;
 
-/// Selection-count histogram over a fixed set of categories.
-///
-/// The experiment harness draws millions of peer samples; this type tallies
-/// them per peer and hands the counts to [`ChiSquare`](crate::ChiSquare) and
-/// [`divergence`](crate::divergence). Categories are dense indices
-/// `0..categories` (peer ranks).
-///
-/// # Example
-///
-/// ```
-/// use stats::CategoricalHistogram;
-///
-/// let mut h = CategoricalHistogram::new(3);
-/// for c in [0usize, 1, 1, 2, 2, 2] {
-///     h.record(c);
-/// }
-/// assert_eq!(h.counts(), &[1, 2, 3]);
-/// assert_eq!(h.total(), 6);
-/// assert_eq!(h.mode(), Some(2));
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CategoricalHistogram {
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl CategoricalHistogram {
-    /// Creates a histogram with the given number of categories, all zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `categories == 0`.
-    pub fn new(categories: usize) -> CategoricalHistogram {
-        assert!(categories > 0, "histogram needs at least one category");
-        CategoricalHistogram {
-            counts: vec![0; categories],
-            total: 0,
-        }
-    }
-
-    /// Records one observation of `category`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `category` is out of range.
-    pub fn record(&mut self, category: usize) {
-        self.counts[category] += 1;
-        self.total += 1;
-    }
-
-    /// Number of categories.
-    pub fn categories(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Per-category counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Total observations recorded.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Count for one category.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `category` is out of range.
-    pub fn count(&self, category: usize) -> u64 {
-        self.counts[category]
-    }
-
-    /// Empirical probability of one category (0 when nothing recorded).
-    pub fn frequency(&self, category: usize) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.counts[category] as f64 / self.total as f64
-        }
-    }
-
-    /// The most frequent category (smallest index on ties); `None` when
-    /// nothing has been recorded.
-    pub fn mode(&self) -> Option<usize> {
-        if self.total == 0 {
-            return None;
-        }
-        let (idx, _) = self
-            .counts
-            .iter()
-            .enumerate()
-            .max_by_key(|&(i, &c)| (c, std::cmp::Reverse(i)))?;
-        Some(idx)
-    }
-
-    /// Number of categories never observed.
-    pub fn empty_categories(&self) -> usize {
-        self.counts.iter().filter(|&&c| c == 0).count()
-    }
-
-    /// Merges another histogram's counts into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if category counts differ.
-    pub fn merge(&mut self, other: &CategoricalHistogram) {
-        assert_eq!(
-            self.counts.len(),
-            other.counts.len(),
-            "histograms must have equal category counts"
-        );
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
-    }
-}
-
-impl fmt::Display for CategoricalHistogram {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "histogram({} categories, {} observations)",
-            self.counts.len(),
-            self.total
-        )
-    }
-}
-
 /// Sub-bucket resolution of [`LogHistogram`]: 2^4 = 16 linear sub-buckets
 /// per power-of-two octave, bounding relative quantile error at 1/16.
 const SUB_BITS: u32 = 4;
@@ -165,7 +34,7 @@ pub struct Exemplar {
 ///
 /// A histogram can optionally carry [`Exemplar`]s — at most one per
 /// bucket, keep-first — linking tail buckets to concrete operation ids;
-/// see [`LogHistogram::record_with_exemplar`].
+/// see [`LogHistogram::offer_exemplar`].
 ///
 /// # Example
 ///
@@ -281,7 +150,8 @@ impl LogHistogram {
     /// (deterministic keep-first); later offers for the same bucket are
     /// ignored, as is everything past [`LogHistogram::MAX_EXEMPLARS`]
     /// distinct buckets.
-    pub fn record_with_exemplar(&mut self, value: u64, trace_id: u64) {
+    #[cfg(test)]
+    pub(crate) fn record_with_exemplar(&mut self, value: u64, trace_id: u64) {
         self.record(value);
         self.offer_exemplar(value, trace_id);
     }
@@ -313,7 +183,8 @@ impl LogHistogram {
     }
 
     /// Drops every exemplar (window-reset path; counts are untouched).
-    pub fn clear_exemplars(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn clear_exemplars(&mut self) {
         self.exemplars.clear();
     }
 
@@ -437,78 +308,6 @@ impl fmt::Display for LogHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn record_and_query() {
-        let mut h = CategoricalHistogram::new(4);
-        h.record(0);
-        h.record(3);
-        h.record(3);
-        assert_eq!(h.counts(), &[1, 0, 0, 2]);
-        assert_eq!(h.total(), 3);
-        assert_eq!(h.count(3), 2);
-        assert!((h.frequency(3) - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(h.mode(), Some(3));
-        assert_eq!(h.empty_categories(), 2);
-        assert_eq!(h.categories(), 4);
-    }
-
-    #[test]
-    fn empty_histogram() {
-        let h = CategoricalHistogram::new(2);
-        assert_eq!(h.total(), 0);
-        assert_eq!(h.frequency(0), 0.0);
-        assert_eq!(h.mode(), None);
-        assert_eq!(h.empty_categories(), 2);
-    }
-
-    #[test]
-    fn mode_tie_prefers_smallest_index() {
-        let mut h = CategoricalHistogram::new(3);
-        h.record(2);
-        h.record(1);
-        assert_eq!(h.mode(), Some(1));
-    }
-
-    #[test]
-    fn merge_adds_counts() {
-        let mut a = CategoricalHistogram::new(2);
-        a.record(0);
-        let mut b = CategoricalHistogram::new(2);
-        b.record(1);
-        b.record(1);
-        a.merge(&b);
-        assert_eq!(a.counts(), &[1, 2]);
-        assert_eq!(a.total(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "equal category counts")]
-    fn merge_size_mismatch_panics() {
-        let mut a = CategoricalHistogram::new(2);
-        a.merge(&CategoricalHistogram::new(3));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one category")]
-    fn zero_categories_panics() {
-        let _ = CategoricalHistogram::new(0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn out_of_range_record_panics() {
-        CategoricalHistogram::new(1).record(1);
-    }
-
-    #[test]
-    fn display_mentions_sizes() {
-        let h = CategoricalHistogram::new(5);
-        assert!(h.to_string().contains("5 categories"));
-    }
-
-    // ---- LogHistogram ----
-
     use crate::Summary;
 
     #[test]

@@ -8,14 +8,12 @@
 //! * [`ChiSquare`] — Pearson goodness-of-fit test against a uniform (or any
 //!   discrete) distribution, with p-values computed from the regularized
 //!   incomplete gamma function ([`gamma`]).
-//! * [`divergence`] — total-variation distance, KL divergence and min/max
-//!   probability ratios between empirical and reference distributions.
+//! * [`divergence`] — total-variation distance and min/max probability
+//!   ratios between empirical and reference distributions.
 //! * [`Summary`] / [`Welford`] — streaming and batch descriptive statistics
 //!   with percentiles and standard errors.
 //! * [`fit`] — least-squares fits, in particular log–log slope estimation
 //!   used to check `Θ(1/n²)` / `Θ(log n)` scaling claims.
-//! * [`ks::KolmogorovSmirnov`] — one-sample KS test against the uniform
-//!   distribution on `[0, 1)`.
 //! * [`proportion`] — Wilson confidence intervals for success rates.
 //!
 //! Everything is `f64`-based, allocation-light and dependency-free, so it
@@ -41,9 +39,8 @@ pub mod entropy;
 pub mod fit;
 pub mod gamma;
 mod histogram;
-pub mod ks;
 pub mod proportion;
 
 pub use chisquare::{ChiSquare, ChiSquareError};
 pub use describe::{Summary, Welford};
-pub use histogram::{CategoricalHistogram, Exemplar, LogHistogram};
+pub use histogram::{Exemplar, LogHistogram};

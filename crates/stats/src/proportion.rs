@@ -29,7 +29,8 @@ pub struct ProportionCi {
 
 impl ProportionCi {
     /// The point estimate `successes / trials`.
-    pub fn point(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn point(&self) -> f64 {
         self.point
     }
 
@@ -44,7 +45,8 @@ impl ProportionCi {
     }
 
     /// The confidence level the interval was built for.
-    pub fn confidence(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn confidence(&self) -> f64 {
         self.confidence
     }
 

@@ -151,7 +151,8 @@ impl SpanProfiler {
     }
 
     /// Zeroes every span's count and cost; registrations stay valid.
-    pub fn reset(&self) {
+    #[cfg(test)]
+    pub(crate) fn reset(&self) {
         for slot in self.counts.iter().chain(self.costs.iter()) {
             slot.store(0, Ordering::Relaxed);
         }

@@ -114,6 +114,7 @@ impl HistSlot {
         out
     }
 
+    #[cfg(test)]
     fn reset(&self) {
         if let Some(buckets) = self.buckets.get() {
             for b in buckets {
@@ -326,10 +327,10 @@ impl Recorder {
 
     /// Closes the current observation window and returns it: the delta of
     /// every registered counter and histogram since the previous
-    /// `reset_window` call (or since construction / [`Recorder::reset`]
-    /// for the first window), then advances the window boundary. The
-    /// cumulative counters and histograms themselves are **not** touched,
-    /// so end-of-run totals are unaffected by windowing.
+    /// `reset_window` call (or since construction for the first window),
+    /// then advances the window boundary. The cumulative counters and
+    /// histograms themselves are **not** touched, so end-of-run totals
+    /// are unaffected by windowing.
     ///
     /// # Why not diff two `snapshot()` calls?
     ///
@@ -409,8 +410,7 @@ impl Recorder {
         self.health.lock().push(event);
     }
 
-    /// Every health event pushed since construction or [`Recorder::reset`],
-    /// in emission order.
+    /// Every health event pushed since construction, in emission order.
     pub fn health_events(&self) -> Vec<HealthEventRecord> {
         self.health.lock().clone()
     }
@@ -465,7 +465,8 @@ impl Recorder {
     /// digest, and the window boundary (the next
     /// [`Recorder::reset_window`] is window 0 again). Registered names
     /// and handles stay valid.
-    pub fn reset(&self) {
+    #[cfg(test)]
+    pub(crate) fn reset(&self) {
         for c in self.counters.iter() {
             c.store(0, Ordering::Relaxed);
         }

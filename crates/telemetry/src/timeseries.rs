@@ -84,9 +84,9 @@ pub struct HealthEventRecord {
 /// Fixed-capacity, deterministic ring of [`WindowSnapshot`]s — the
 /// longitudinal view the flat end-of-run counters cannot give.
 ///
-/// Pushing past capacity evicts the oldest window ([`TimeSeries::recorded`]
-/// still counts every push), mirroring the flight recorder's ring
-/// semantics so a breach dump always shows the *most recent* history.
+/// Pushing past capacity evicts the oldest window, mirroring the flight
+/// recorder's ring semantics so a breach dump always shows the *most
+/// recent* history.
 /// Everything is plain owned data: same seed ⇒ byte-identical series.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
@@ -137,17 +137,20 @@ impl TimeSeries {
     }
 
     /// Total windows ever pushed (≥ [`TimeSeries::len`]).
-    pub fn recorded(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn recorded(&self) -> u64 {
         self.recorded
     }
 
     /// Maximum retained windows.
-    pub fn capacity(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
     /// Per-window delta column for a counter, oldest first.
-    pub fn counter_column(&self, name: &str) -> Vec<u64> {
+    #[cfg(test)]
+    pub(crate) fn counter_column(&self, name: &str) -> Vec<u64> {
         self.windows.iter().map(|w| w.counter(name)).collect()
     }
 
@@ -161,7 +164,8 @@ impl TimeSeries {
     /// the whole-run histogram: bucket counts match exactly, and the
     /// extrema (hence clamped quantiles) agree to within the 1/16
     /// bucketing error — property-tested in this module.
-    pub fn merged_histogram(&self, name: &str) -> LogHistogram {
+    #[cfg(test)]
+    pub(crate) fn merged_histogram(&self, name: &str) -> LogHistogram {
         let mut merged = LogHistogram::new();
         for w in &self.windows {
             if let Some(h) = w.hist(name) {
@@ -169,25 +173,6 @@ impl TimeSeries {
             }
         }
         merged
-    }
-
-    /// Approximate resident bytes of the retained windows (counter maps,
-    /// histogram buckets, gauge maps) — the scale bench charges this
-    /// against the telemetry memory budget.
-    pub fn bytes(&self) -> usize {
-        self.windows
-            .iter()
-            .map(|w| {
-                let counters: usize = w.counters.keys().map(|k| k.len() + 32).sum();
-                let hists: usize = w
-                    .hists
-                    .iter()
-                    .map(|(n, _)| n.len() + 24 + LogHistogram::BUCKETS * 8)
-                    .sum();
-                let gauges: usize = w.gauges.keys().map(|k| k.len() + 32).sum();
-                counters + hists + gauges
-            })
-            .sum()
     }
 }
 

@@ -162,6 +162,7 @@ impl FlightRecorder {
         self.digest
     }
 
+    #[cfg(test)]
     pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
